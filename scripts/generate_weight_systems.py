@@ -35,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cytk.arith import attainable_sums, is_partitionable  # noqa: E402
+from cytk.arith import is_pair_partitionable, is_partitionable  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -44,20 +44,18 @@ from cytk.arith import attainable_sums, is_partitionable  # noqa: E402
 
 
 def is_quasismooth_general(d: int, w: tuple[int, ...]) -> bool:
+    """The criterion of ``cytk.hypersurface.is_quasismooth`` for n weights;
+    every set of three or more weights partitions d iff every 3-subset
+    does."""
     n = len(w)
     for i in range(n):
         if all((d - w[j]) % w[i] != 0 for j in range(n)):
             return False
-    for i1, i2 in combinations(range(n), 2):
-        reach = attainable_sums((w[i1], w[i2]), d)
-        hits = sum(1 for j in range(n) if reach >> (d - w[j]) & 1)
+    for a, b in combinations(w, 2):
+        hits = sum(1 for wj in w if is_pair_partitionable(d - wj, a, b))
         if hits < 2:
             return False
-    for size in range(3, n + 1):
-        for idx in combinations(range(n), size):
-            if not is_partitionable(d, tuple(w[i] for i in idx)):
-                return False
-    return True
+    return all(is_partitionable(d, triple) for triple in combinations(w, 3))
 
 
 def _gcd_all(values) -> int:

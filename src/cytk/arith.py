@@ -3,6 +3,12 @@
 Partition feasibility, integer determinants, characteristic polynomials,
 Smith normal form and linear congruences modulo the integer lattice.
 Everything is exact; no floating point is used anywhere.
+
+A partition query costs O(1) big-integer operations for two parts.  For
+three or more parts it tries the multiples of the largest part up to its
+period against the others, at most min(parts) ** (len(parts) - 2) pair
+tests, so its cost is bounded by the parts and grows with the target only
+through the length of its digits.
 """
 
 from __future__ import annotations
@@ -24,38 +30,42 @@ class InfiniteSolutionsError(ValueError):
     """The congruence system has a positive-dimensional solution set."""
 
 
-def attainable_sums(parts: Iterable[int], limit: int) -> int:
-    """Bitmask of every non-negative integer combination of ``parts`` up to
-    ``limit``: bit ``t`` is set iff ``t = a0*p0 + a1*p1 + ...`` with ai >= 0.
+def is_pair_partitionable(target: int, a: int, b: int) -> bool:
+    """True iff ``target = x*a + y*b`` with x, y >= 0, for positive a, b.
 
-    This is the value-table DP with one bit per table cell; big-integer
-    shifts make it fast enough for thousands of queries.
+    With g = gcd(a, b), a' = a/g, b' = b/g and t = target/g, the least
+    x >= 0 with x*a' congruent to t modulo b' is t * a'^-1 mod b', and t
+    is attainable iff that x leaves a non-negative multiple of b', i.e.
+    x*a' <= t.  A target not divisible by g is never attainable.
     """
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    mask = (1 << (limit + 1)) - 1
-    reach = 1
-    for p in sorted(set(parts)):
-        if p <= 0:
-            raise ValueError("parts must be positive")
-        if p > limit:
-            break
-        while True:
-            grown = (reach | (reach << p)) & mask
-            if grown == reach:
-                break
-            reach = grown
-    return reach
+    g = gcd(a, b)
+    if target % g:
+        return False
+    a, b, target = a // g, b // g, target // g
+    return target * pow(a, -1, b) % b * a <= target
 
 
 def is_partitionable(target: int, parts: Iterable[int]) -> bool:
     """True iff ``target`` is a sum of non-negative multiples of ``parts``."""
-    parts = tuple(parts)
+    parts = sorted(set(parts))
     if not parts:
         raise ValueError("parts must be non-empty")
     if target < 0:
         raise ValueError("target must be non-negative")
-    return bool(attainable_sums(parts, target) >> target & 1)
+    if parts[0] <= 0:
+        raise ValueError("parts must be positive")
+    if len(parts) == 1:
+        return target % parts[0] == 0
+    if len(parts) == 2:
+        return is_pair_partitionable(target, parts[0], parts[1])
+    *rest, top = parts
+    # p/gcd(p, top) copies of top make a multiple of p, so a solution that
+    # uses top at least that often has one using it fewer times.
+    period = min(p // gcd(p, top) for p in rest)
+    for k in range(min(target // top, period - 1) + 1):
+        if is_partitionable(target - k * top, rest):
+            return True
+    return False
 
 
 def _as_matrix(a: Sequence[Sequence[int]]) -> list[list[int]]:

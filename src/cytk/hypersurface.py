@@ -7,12 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
 from typing import Iterator
 
-from cytk.arith import attainable_sums, is_partitionable
+from cytk.arith import is_pair_partitionable, is_partitionable
 from cytk.wps import CyclicQuotientType, WeightSystem
 
 
@@ -81,11 +80,6 @@ class C2BoundReport:
     positive: bool
 
 
-@lru_cache(maxsize=16384)
-def _pair_sums(w1: int, w2: int, limit: int) -> int:
-    return attainable_sums((w1, w2), limit)
-
-
 def is_calabi_yau_degree(ws: WeightSystem) -> bool:
     """True iff the degree equals the sum of the weights, so that the
     general hypersurface has trivial canonical class."""
@@ -99,21 +93,20 @@ def is_quasismooth(ws: WeightSystem) -> bool:
     (2) every pair of weights partitions d - w_{j1} and d - w_{j2} for two
         distinct indices j1 != j2;
     (3) every set of three or more weights partitions d.
+
+    Condition (3) is tested on the ten 3-subsets only: a weight added to a
+    set keeps every sum the set partitions, so a 3-subset that partitions
+    d makes each of its supersets partition d too.
     """
     d, w = ws.degree, ws.weights
     for i in range(5):
         if all((d - w[j]) % w[i] != 0 for j in range(5)):
             return False
-    for i1, i2 in combinations(range(5), 2):
-        reach = _pair_sums(w[i1], w[i2], d)
-        hits = sum(1 for j in range(5) if reach >> (d - w[j]) & 1)
+    for a, b in combinations(w, 2):
+        hits = sum(1 for wj in w if is_pair_partitionable(d - wj, a, b))
         if hits < 2:
             return False
-    for size in (3, 4, 5):
-        for idx in combinations(range(5), size):
-            if not is_partitionable(d, tuple(w[i] for i in idx)):
-                return False
-    return True
+    return all(is_partitionable(d, triple) for triple in combinations(w, 3))
 
 
 def _edges(ws: WeightSystem) -> Iterator[tuple[tuple[int, ...], tuple[int, int], int, bool]]:
@@ -122,7 +115,7 @@ def _edges(ws: WeightSystem) -> Iterator[tuple[tuple[int, ...], tuple[int, int],
     for free in combinations(range(5), 2):
         zeroed = tuple(i for i in range(5) if i not in free)
         pair = (w[free[0]], w[free[1]])
-        contained = not bool(_pair_sums(pair[0], pair[1], d) >> d & 1)
+        contained = not is_pair_partitionable(d, *pair)
         yield zeroed, pair, gcd(*pair), contained
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ from cytk.arith import (
     charpoly,
     charpoly_eval,
     determinant,
+    is_pair_partitionable,
     is_partitionable,
     smith_normal_form,
     solve_congruence,
@@ -60,6 +62,44 @@ class TestPartitionable:
         assert is_partitionable(target, parts) == brute_force_partitionable(
             target, parts
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.integers(min_value=0, max_value=300),
+        factor=st.integers(min_value=1, max_value=6),
+        a=st.integers(min_value=1, max_value=30),
+        b=st.integers(min_value=1, max_value=30),
+    )
+    def test_pair_agrees_with_brute_force(self, target, factor, a, b):
+        parts = (factor * a, factor * b)
+        expected = brute_force_partitionable(target, parts)
+        assert is_pair_partitionable(target, *parts) == expected
+        assert is_partitionable(target, parts) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=st.integers(min_value=0, max_value=100),
+        factor=st.integers(min_value=1, max_value=6),
+        cofactors=st.lists(
+            st.integers(min_value=2, max_value=20), min_size=3, max_size=4
+        ),
+    )
+    def test_shared_factor_parts_agree_with_brute_force(
+        self, target, factor, cofactors
+    ):
+        # a factor common to all parts, and the first two share another
+        parts = [factor * c for c in cofactors]
+        parts[0] *= cofactors[1]
+        assert is_partitionable(target, parts) == brute_force_partitionable(
+            target, sorted(set(parts))
+        )
+
+    def test_huge_target_is_fast(self):
+        start = time.perf_counter()
+        assert is_partitionable(10**12, (7, 50))
+        assert not is_partitionable(10**12 + 1, (10, 50, 70))
+        assert is_partitionable(10**12 + 1, (7, 50, 91, 200))
+        assert time.perf_counter() - start < 0.5
 
 
 def random_unimodular(rng, n=4, steps=12):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,6 +36,13 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "56", "2", "4", "9", "13", "28")
         assert code == 0
         assert "contained edge zeroed=[0, 1, 4]" in out
+
+    def test_large_degree_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "analyze", "100000", "1", "2", "3", "5", "7")
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert "quasismooth:       yes" in out
 
     def test_invalid_weights_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "10", "2", "2", "2", "2", "2")

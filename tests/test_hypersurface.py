@@ -1,13 +1,21 @@
+import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cytk.hypersurface import (
+    ContainedEdge,
+    EdgePointLocus,
     NotCalabiYauError,
     NotQuasismoothError,
+    SingularCurve,
+    SingularLocusReport,
+    _stratified_locus,
     c2_lower_bound,
     contained_edges,
     contains_no_edge,
@@ -114,6 +122,113 @@ class TestContainsNoEdge:
                 w = ws.weights
                 for i, j in combinations(range(5), 2):
                     assert is_partitionable(ws.degree, (w[i], w[j]))
+
+
+def reference_sums(parts, limit):
+    """Bit t set iff t is a non-negative combination of parts (value-table
+    DP, the implementation the closed-form tests replaced)."""
+    mask = (1 << (limit + 1)) - 1
+    reach = 1
+    for p in sorted(set(parts)):
+        if p > limit:
+            break
+        while True:
+            grown = (reach | (reach << p)) & mask
+            if grown == reach:
+                break
+            reach = grown
+    return reach
+
+
+def reference_is_quasismooth(ws):
+    """The criterion with every subset of three or more weights tested."""
+    d, w = ws.degree, ws.weights
+    for i in range(5):
+        if all((d - w[j]) % w[i] != 0 for j in range(5)):
+            return False
+    for i1, i2 in combinations(range(5), 2):
+        reach = reference_sums((w[i1], w[i2]), d)
+        if sum(1 for j in range(5) if reach >> (d - w[j]) & 1) < 2:
+            return False
+    for size in (3, 4, 5):
+        for idx in combinations(range(5), size):
+            if not reference_sums([w[i] for i in idx], d) >> d & 1:
+                return False
+    return True
+
+
+def reference_stratified_locus(ws):
+    d, w = ws.degree, ws.weights
+    vertices = tuple(i for i in range(5) if w[i] > 1 and d % w[i] != 0)
+    in_x, point_loci, curves = [], [], []
+    for free in combinations(range(5), 2):
+        zeroed = tuple(i for i in range(5) if i not in free)
+        pair = (w[free[0]], w[free[1]])
+        g = gcd(*pair)
+        if not reference_sums(pair, d) >> d & 1:
+            in_x.append(ContainedEdge(zeroed, pair, g > 1))
+        elif g > 1:
+            point_loci.append(EdgePointLocus(zeroed, g))
+    for zeroed in combinations(range(5), 2):
+        m = reduce(gcd, (w[i] for i in range(5) if i not in zeroed))
+        if m > 1:
+            i, j = zeroed
+            curves.append(
+                SingularCurve(zeroed, CyclicQuotientType(m, (w[i] % m, w[j] % m)))
+            )
+    return SingularLocusReport(vertices, tuple(in_x), tuple(point_loci), tuple(curves))
+
+
+@st.composite
+def weight_systems(draw):
+    """Globally coprime weights with d = sum of weights, with an unrelated
+    degree, or built so that condition (1) of the criterion holds (each
+    weight a divisor of d or of d minus an earlier weight), which leaves
+    the pair and triple conditions to decide."""
+    kind = draw(st.sampled_from(("sum", "unrelated", "divisors")))
+    if kind == "divisors":
+        degree = draw(st.integers(min_value=2, max_value=400))
+        weights = []
+        for _ in range(5):
+            base = degree
+            if weights and draw(st.booleans()):
+                base -= draw(st.sampled_from(weights))
+            divisors = [k for k in range(2, base) if base % k == 0]
+            weights.append(draw(st.sampled_from(divisors or [1])))
+    else:
+        weights = draw(
+            st.lists(st.integers(min_value=1, max_value=40), min_size=5, max_size=5)
+        )
+        if kind == "sum":
+            degree = sum(weights)
+        else:
+            degree = draw(st.integers(min_value=max(weights), max_value=400))
+    assume(reduce(gcd, weights) == 1)
+    return WeightSystem(degree, tuple(weights))
+
+
+class TestAgainstAllSubsetsReference:
+    @settings(max_examples=400, deadline=None)
+    @given(weight_systems())
+    def test_random_weight_systems(self, ws):
+        assert is_quasismooth(ws) == reference_is_quasismooth(ws)
+        assert _stratified_locus(ws) == reference_stratified_locus(ws)
+
+    def test_worked_examples(self):
+        for ws in (X1734, X120, X56, X7, QUINTIC, WeightSystem(9, (1, 1, 3, 3, 7))):
+            assert is_quasismooth(ws) == reference_is_quasismooth(ws)
+            assert _stratified_locus(ws) == reference_stratified_locus(ws)
+
+
+def test_huge_degree_is_fast():
+    # the cost of the predicates does not grow with the degree
+    ws = WeightSystem(10**12, (1, 2, 3, 5, 7))
+    start = time.perf_counter()
+    assert is_quasismooth(ws)
+    report = _stratified_locus(ws)
+    assert time.perf_counter() - start < 0.5
+    assert report.singular_vertices == (2, 4)
+    assert not report.contained_edges
 
 
 def pairwise_square_sum(weights):
