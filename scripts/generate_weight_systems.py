@@ -29,51 +29,13 @@ import argparse
 import sys
 import time
 from collections import defaultdict
-from itertools import combinations
 from math import gcd, lcm
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cytk.arith import is_pair_partitionable, is_partitionable  # noqa: E402
-
-
-# ----------------------------------------------------------------------
-# Acceptance criteria for a candidate weight system (any number of
-# weights; the 5-weight case is the one shipped in the package).
-
-
-def is_quasismooth_general(d: int, w: tuple[int, ...]) -> bool:
-    """The criterion of ``cytk.hypersurface.is_quasismooth`` for n weights;
-    every set of three or more weights partitions d iff every 3-subset
-    does."""
-    n = len(w)
-    for i in range(n):
-        if all((d - w[j]) % w[i] != 0 for j in range(n)):
-            return False
-    for a, b in combinations(w, 2):
-        hits = sum(1 for wj in w if is_pair_partitionable(d - wj, a, b))
-        if hits < 2:
-            return False
-    return all(is_partitionable(d, triple) for triple in combinations(w, 3))
-
-
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
-def is_wellformed_general(d: int, w: tuple[int, ...]) -> bool:
-    n = len(w)
-    for i in range(n):
-        if _gcd_all(w[j] for j in range(n) if j != i) != 1:
-            return False
-    for i, j in combinations(range(n), 2):
-        if d % _gcd_all(w[k] for k in range(n) if k not in (i, j)) != 0:
-            return False
-    return True
+from cytk.hypersurface import is_quasismooth, stratified_locus  # noqa: E402
+from cytk.wps import WeightSystem, is_wellformed_hypersurface  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +246,8 @@ def solve(
     enum.run()
     found = []
     for d, weights in sorted(enum.solutions):
-        if is_quasismooth_general(d, weights) and is_wellformed_general(d, weights):
+        ws = WeightSystem(d, weights)
+        if is_quasismooth(ws) and is_wellformed_hypersurface(ws):
             found.append((d, weights))
     return found
 
@@ -299,17 +262,14 @@ def render_record(d: int, weights: tuple[int, ...]) -> str:
 
 def hypersurface_stats(found) -> tuple[int, int]:
     """(not smooth in codim 2, of which containing no edge) over 5-weight
-    records, using the packaged predicates."""
-    from cytk.hypersurface import _stratified_locus
-    from cytk.wps import WeightSystem
-
+    records."""
     not_smooth = 0
     no_edge = 0
     for d, weights in found:
-        locus = _stratified_locus(WeightSystem(d, weights))
-        if locus.singular_curves or any(e.singular for e in locus.contained_edges):
+        locus = stratified_locus(WeightSystem(d, weights))
+        if not locus.smooth_in_codim2:
             not_smooth += 1
-            if not locus.contained_edges:
+            if locus.contains_no_edge:
                 no_edge += 1
     return not_smooth, no_edge
 

@@ -17,6 +17,7 @@ from cytk.hypersurface import (
     is_quasismooth,
     is_smooth_in_codim2,
     singular_locus,
+    stratified_locus,
 )
 from cytk.surface import DuValMultiset, DuValType, classify, orbifold_c2
 from cytk.torusq import AffineTorusMap, TorusAction, builtin_actions, close_group
@@ -44,4 +45,5 @@ __all__ = [
     "is_smooth_in_codim2",
     "orbifold_c2",
     "singular_locus",
+    "stratified_locus",
 ]

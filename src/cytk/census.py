@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
 from cytk import hypersurface
-from cytk.hypersurface import _stratified_locus  # total variant for failed records
+from cytk.hypersurface import stratified_locus  # total, so failed records get one
 from cytk.wps import WeightSystem, is_wellformed_hypersurface
 
 N3 = "N3"  # record arrived with 4 weights, the d/2 weight was appended
@@ -136,21 +136,17 @@ def denormalize(record: NormalizedRecord) -> RawRecord:
 
 def _evaluate(record: NormalizedRecord) -> RecordVerdict:
     ws = record.ws
-    quasismooth = hypersurface.is_quasismooth(ws)
-    locus = _stratified_locus(ws)
-    smooth2 = not locus.singular_curves and not any(
-        e.singular for e in locus.contained_edges
-    )
+    locus = stratified_locus(ws)
     return RecordVerdict(
         line=record.source_line,
         degree=ws.degree,
         weights=ws.weights,
         origin=record.origin,
         wellformed=is_wellformed_hypersurface(ws),
-        quasismooth=quasismooth,
+        quasismooth=hypersurface.is_quasismooth(ws),
         calabi_yau=hypersurface.is_calabi_yau_degree(ws),
-        smooth_in_codim2=smooth2,
-        contains_no_edge=not locus.contained_edges,
+        smooth_in_codim2=locus.smooth_in_codim2,
+        contains_no_edge=locus.contains_no_edge,
         singular_curve_types=tuple(str(c.quotient) for c in locus.singular_curves),
     )
 
@@ -160,14 +156,22 @@ def run_census(
 ) -> tuple[CensusSummary, list[RecordVerdict]]:
     """Evaluate every predicate on every record.
 
-    Records may be evaluated by several worker threads; each evaluation is
-    pure and the verdict table is returned in input order, so the output is
-    identical for any worker count.
+    With ``jobs`` > 1 the records are evaluated by that many worker
+    processes, at most one per CPU; each evaluation is pure and the verdict
+    table is returned in input order, so the output is identical for any
+    worker count.
     """
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
         verdicts = [_evaluate(r) for r in records]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # imported here: the process pool module costs every start-up ~15 ms;
+        # spawn, because fork is unsafe in a caller that runs threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             verdicts = list(pool.map(_evaluate, records, chunksize=64))
     failures = []
     not_smooth = 0

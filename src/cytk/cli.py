@@ -49,11 +49,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     wellformed = is_wellformed_hypersurface(ws)
     quasismooth = hypersurface.is_quasismooth(ws)
     calabi_yau = hypersurface.is_calabi_yau_degree(ws)
-    locus = hypersurface._stratified_locus(ws)
-    smooth2 = not locus.singular_curves and not any(
-        e.singular for e in locus.contained_edges
-    )
-    no_edge = not locus.contained_edges
+    locus = hypersurface.stratified_locus(ws)
     bound = hypersurface.c2_lower_bound(ws) if calabi_yau else None
 
     if args.json:
@@ -63,8 +59,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "wellformed": wellformed,
             "quasismooth": quasismooth,
             "calabi_yau": calabi_yau,
-            "smooth_in_codim2": smooth2,
-            "contains_no_edge": no_edge,
+            "smooth_in_codim2": locus.smooth_in_codim2,
+            "contains_no_edge": locus.contains_no_edge,
             "singular_vertices": list(locus.singular_vertices),
             "contained_edges": [
                 {
@@ -95,8 +91,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"  wellformed:        {_bool_word(wellformed)}")
     print(f"  quasismooth:       {_bool_word(quasismooth)}")
     print(f"  trivial K (d=sum): {_bool_word(calabi_yau)}")
-    print(f"  smooth in codim 2: {_bool_word(smooth2)}")
-    print(f"  contains no edge:  {_bool_word(no_edge)}")
+    print(f"  smooth in codim 2: {_bool_word(locus.smooth_in_codim2)}")
+    print(f"  contains no edge:  {_bool_word(locus.contains_no_edge)}")
     if locus.singular_vertices:
         verts = ", ".join(str(v) for v in locus.singular_vertices)
         print(f"  singular vertex points at coordinates: {verts}")
@@ -307,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     census.add_argument("--csv", metavar="PATH", help="write the verdict table as CSV")
     census.add_argument("--json", metavar="PATH", help="write the verdict table as JSON")
-    census.add_argument("--jobs", type=int, default=1, help="worker threads")
+    census.add_argument("--jobs", type=int, default=1, help="worker processes")
     census.set_defaults(handler=_cmd_census)
 
     surf = sub.add_parser(

@@ -1,7 +1,8 @@
 """Analysis of the general degree-d hypersurface X in P(w0, ..., w4):
 quasismoothness, the trivial-canonical-class degree condition, edge
 containment, the stratified singular locus, and the positivity bound for
-the orbifold second Chern class."""
+the orbifold second Chern class.  Quasismoothness and the degree condition
+take any number of weights."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
-from typing import Iterator
 
 from cytk.arith import is_pair_partitionable, is_partitionable
 from cytk.wps import CyclicQuotientType, WeightSystem
@@ -69,6 +69,19 @@ class SingularLocusReport:
             or self.singular_curves
         )
 
+    @property
+    def smooth_in_codim2(self) -> bool:
+        """True iff the locus contains no curve: no singular two-face and
+        no contained singular edge."""
+        return not self.singular_curves and not any(
+            e.singular for e in self.contained_edges
+        )
+
+    @property
+    def contains_no_edge(self) -> bool:
+        """True iff no edge of P (singular or not) lies in X."""
+        return not self.contained_edges
+
 
 @dataclass(frozen=True)
 class C2BoundReport:
@@ -94,13 +107,14 @@ def is_quasismooth(ws: WeightSystem) -> bool:
         distinct indices j1 != j2;
     (3) every set of three or more weights partitions d.
 
-    Condition (3) is tested on the ten 3-subsets only: a weight added to a
-    set keeps every sum the set partitions, so a 3-subset that partitions
-    d makes each of its supersets partition d too.
+    The criterion holds for any number of weights.  Condition (3) is tested
+    on the 3-subsets only: a weight added to a set keeps every sum the set
+    partitions, so a 3-subset that partitions d makes each of its supersets
+    partition d too.
     """
     d, w = ws.degree, ws.weights
-    for i in range(5):
-        if all((d - w[j]) % w[i] != 0 for j in range(5)):
+    for wi in w:
+        if all((d - wj) % wi != 0 for wj in w):
             return False
     for a, b in combinations(w, 2):
         hits = sum(1 for wj in w if is_pair_partitionable(d - wj, a, b))
@@ -109,34 +123,23 @@ def is_quasismooth(ws: WeightSystem) -> bool:
     return all(is_partitionable(d, triple) for triple in combinations(w, 3))
 
 
-def _edges(ws: WeightSystem) -> Iterator[tuple[tuple[int, ...], tuple[int, int], int, bool]]:
-    """(zeroed, free weights, gcd of free weights, contained-in-X) per edge."""
-    d, w = ws.degree, ws.weights
-    for free in combinations(range(5), 2):
-        zeroed = tuple(i for i in range(5) if i not in free)
-        pair = (w[free[0]], w[free[1]])
-        contained = not is_pair_partitionable(d, *pair)
-        yield zeroed, pair, gcd(*pair), contained
+def stratified_locus(ws: WeightSystem) -> SingularLocusReport:
+    """The stratified singular locus of the general X, computed without any
+    precondition, so that it also describes records that fail a criterion.
 
-
-def contained_edges(ws: WeightSystem) -> tuple[ContainedEdge, ...]:
-    """The edges of P lying entirely in X: those whose two free weights do
-    not partition d.  Deterministic (lex on zeroed coordinates) order."""
-    return tuple(
-        ContainedEdge(zeroed, pair, g > 1)
-        for zeroed, pair, g, contained in _edges(ws)
-        if contained
-    )
-
-
-def _stratified_locus(ws: WeightSystem) -> SingularLocusReport:
-    """The stratified singular locus, computed without any precondition."""
+    An edge of P lies in X when its two free weights do not partition d.
+    Raises ValueError unless the weight system has five weights.
+    """
+    ws.require_p4()
     d, w = ws.degree, ws.weights
     vertices = tuple(i for i in range(5) if w[i] > 1 and d % w[i] != 0)
     in_x = []
     point_loci = []
-    for zeroed, pair, g, contained in _edges(ws):
-        if contained:
+    for free in combinations(range(5), 2):
+        zeroed = tuple(i for i in range(5) if i not in free)
+        pair = (w[free[0]], w[free[1]])
+        g = gcd(*pair)
+        if not is_pair_partitionable(d, *pair):
             in_x.append(ContainedEdge(zeroed, pair, g > 1))
         elif g > 1:
             point_loci.append(EdgePointLocus(zeroed, g))
@@ -157,6 +160,12 @@ def _stratified_locus(ws: WeightSystem) -> SingularLocusReport:
     )
 
 
+def contained_edges(ws: WeightSystem) -> tuple[ContainedEdge, ...]:
+    """The edges of P lying entirely in X: those whose two free weights do
+    not partition d.  Deterministic (lex on zeroed coordinates) order."""
+    return stratified_locus(ws).contained_edges
+
+
 def singular_locus(ws: WeightSystem) -> SingularLocusReport:
     """Stratified singular locus of the general quasismooth hypersurface.
 
@@ -165,32 +174,29 @@ def singular_locus(ws: WeightSystem) -> SingularLocusReport:
     """
     if not is_quasismooth(ws):
         raise NotQuasismoothError(f"not quasismooth: {ws}")
-    return _stratified_locus(ws)
+    return stratified_locus(ws)
 
 
 def is_smooth_in_codim2(ws: WeightSystem) -> bool:
     """True iff the singular locus of X contains no curve: no singular
     two-face and no contained singular edge."""
-    report = singular_locus(ws)
-    return not report.singular_curves and not any(
-        e.singular for e in report.contained_edges
-    )
+    return singular_locus(ws).smooth_in_codim2
 
 
 def contains_no_edge(ws: WeightSystem) -> bool:
     """True iff X contains no edge of P at all (singular or not), i.e.
     every pair of weights partitions d."""
-    if not is_quasismooth(ws):
-        raise NotQuasismoothError(f"not quasismooth: {ws}")
-    return not contained_edges(ws)
+    return singular_locus(ws).contains_no_edge
 
 
 def c2_lower_bound(ws: WeightSystem) -> C2BoundReport:
     """Exact lower bound for c2_orb(X) . O_X(1) when d = sum of weights.
 
     The bound is d*(4q - 2s)/(10N) = d * sum_{i<j} (w_i - w_j)^2 / (10N);
-    it is strictly positive unless all the weights are equal.
+    it is strictly positive unless all the weights are equal.  Raises
+    ValueError unless the weight system has five weights.
     """
+    ws.require_p4()
     if not is_calabi_yau_degree(ws):
         raise NotCalabiYauError(f"degree is not the weight sum: {ws}")
     w = ws.weights

@@ -1,5 +1,6 @@
 """The weighted projective space P(w0, ..., w4), its coordinate strata and
-their quotient singularities."""
+their quotient singularities; the hypersurface criteria also take any
+n >= 3 weights."""
 
 from __future__ import annotations
 
@@ -16,18 +17,18 @@ def _gcd_all(values) -> int:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """A degree d together with the five positive weights of the ambient
-    weighted projective 4-space."""
+    """A degree d together with the positive weights of the ambient
+    weighted projective space: five for P4, at least three in general."""
 
     degree: int
-    weights: tuple[int, int, int, int, int]
+    weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         weights = tuple(int(w) for w in self.weights)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "degree", int(self.degree))
-        if len(weights) != 5 or any(w <= 0 for w in weights):
-            raise ValueError("a weight system needs five positive weights")
+        if len(weights) < 3 or any(w <= 0 for w in weights):
+            raise ValueError("a weight system needs at least three positive weights")
         if self.degree < max(weights):
             raise ValueError("degree must be at least the largest weight")
         if _gcd_all(weights) != 1:
@@ -35,6 +36,11 @@ class WeightSystem:
 
     def __str__(self) -> str:
         return f"X_{self.degree} in P{self.weights}"
+
+    def require_p4(self) -> None:
+        """Raise ValueError unless the ambient space is weighted P4."""
+        if len(self.weights) != 5:
+            raise ValueError(f"five weights needed for weighted P4: {self}")
 
 
 _KINDS = {4: "vertex", 3: "edge", 2: "two-face"}
@@ -117,14 +123,15 @@ StratumSingularity = Union[None, int, CyclicQuotientType]
 
 def is_wellformed_hypersurface(ws: WeightSystem) -> bool:
     """Degree/weight conditions under which adjunction computes the canonical
-    class of the general hypersurface: any four weights are coprime, and the
-    gcd of any three weights divides the degree."""
+    class of the general hypersurface: any n - 1 of the n weights are
+    coprime, and the gcd of any n - 2 weights divides the degree."""
     w = ws.weights
-    for i in range(5):
-        if _gcd_all([w[j] for j in range(5) if j != i]) != 1:
+    n = len(w)
+    for i in range(n):
+        if _gcd_all([w[j] for j in range(n) if j != i]) != 1:
             return False
-    for pair in combinations(range(5), 2):
-        if ws.degree % _gcd_all([w[j] for j in range(5) if j not in pair]) != 0:
+    for pair in combinations(range(n), 2):
+        if ws.degree % _gcd_all([w[j] for j in range(n) if j not in pair]) != 0:
             return False
     return True
 
@@ -136,8 +143,10 @@ def stratum_singularity(ws: WeightSystem, stratum: Stratum) -> StratumSingularit
     hypersurface in a curve of transverse type 1/m(w_i mod m, w_j mod m),
     where i, j are the zeroed coordinates; that type is returned.  Singular
     edges and vertices only carry their local group order, returned as an
-    int marker.  Non-singular strata give None.
+    int marker.  Non-singular strata give None.  Raises ValueError unless
+    the weight system has five weights.
     """
+    ws.require_p4()
     w = ws.weights
     if stratum.kind == "vertex":
         weight = w[stratum.free[0]]

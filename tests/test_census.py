@@ -1,5 +1,8 @@
+import concurrent.futures
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from cytk.census import (
     verdicts_as_json,
     write_csv,
 )
+
+PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 SAMPLE = [
     "5 1 1 1 1 1",
@@ -132,6 +137,30 @@ class TestRunCensus:
             write_csv(verdicts, out)
             buffers.append((summary, out.getvalue()))
         assert buffers[0] == buffers[1]
+
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [])])
+    def test_workers_bounded_by_cpu_count(self, monkeypatch, cpus, pools):
+        real_pool = concurrent.futures.ProcessPoolExecutor
+        sizes = []
+
+        def recording_pool(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        records = normalized_sample() * 30
+        assert run_census(records, jobs=8) == run_census(records, jobs=1)
+        assert sizes == pools
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ks_list_gives_golden_verdicts(self, jobs):
+        lines = (PERFBENCH_DATA / "kreuzer_skarke_wp4.txt").read_text(encoding="utf-8")
+        _, verdicts = census_lines(lines.splitlines(), jobs=jobs)
+        out = io.StringIO()
+        write_csv(verdicts, out)
+        golden = (PERFBENCH_DATA / "golden_verdicts.csv").read_bytes()
+        assert out.getvalue().encode("utf-8") == golden
 
 
 class TestExports:

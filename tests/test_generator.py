@@ -1,0 +1,43 @@
+"""The weight-system generator, run as a script: its counts for three and
+four weights, and its five-weight output against the shipped KS list."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "generate_weight_systems.py"
+KS_LIST = ROOT / "perfbench" / "data" / "kreuzer_skarke_wp4.txt"
+
+
+def generate(*args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), *args],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return proc.stdout
+
+
+def records(path: Path) -> list[tuple[int, ...]]:
+    return sorted(
+        tuple(int(x) for x in line.split())
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.startswith("#")
+    )
+
+
+@pytest.mark.parametrize("weights, cap, count", [(3, 20, 3), (4, 70, 95)])
+def test_small_weight_counts(weights, cap, count):
+    out = generate("--weights", str(weights), "--cap", str(cap))
+    assert out.startswith(f"{count} weight systems with {weights} weights ")
+
+
+def test_five_weights_reproduce_ks_list_up_to_degree_100(tmp_path):
+    path = tmp_path / "ks.txt"
+    out = generate("--weights", "5", "--cap", "100", "--stats", "--out", str(path))
+    assert "not smooth in codim 2: 2294; of which no edge: 800" in out
+    expected = [r for r in records(KS_LIST) if r[0] <= 100]
+    assert len(expected) == 2410
+    assert records(path) == expected

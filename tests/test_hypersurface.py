@@ -15,7 +15,6 @@ from cytk.hypersurface import (
     NotQuasismoothError,
     SingularCurve,
     SingularLocusReport,
-    _stratified_locus,
     c2_lower_bound,
     contained_edges,
     contains_no_edge,
@@ -23,8 +22,15 @@ from cytk.hypersurface import (
     is_quasismooth,
     is_smooth_in_codim2,
     singular_locus,
+    stratified_locus,
 )
-from cytk.wps import CyclicQuotientType, WeightSystem
+from cytk.wps import (
+    CyclicQuotientType,
+    Stratum,
+    WeightSystem,
+    is_wellformed_hypersurface,
+    stratum_singularity,
+)
 
 X1734 = WeightSystem(1734, (91, 96, 102, 578, 867))
 X120 = WeightSystem(120, (3, 7, 20, 40, 50))
@@ -44,6 +50,35 @@ class TestQuasismooth:
     def test_failing_first_condition(self):
         # no weight w_j with 7 | 9 - w_j
         assert not is_quasismooth(WeightSystem(9, (1, 1, 3, 3, 7)))
+
+
+class TestWeightCount:
+    def test_three_weight_criteria(self):
+        cubic_curve = WeightSystem(6, (1, 2, 3))
+        assert is_quasismooth(cubic_curve)
+        assert is_wellformed_hypersurface(cubic_curve)
+        # 4 divides none of 7 - 1, 7 - 2, 7 - 4; and gcd(2, 4) = 2
+        bad = WeightSystem(7, (1, 2, 4))
+        assert not is_quasismooth(bad)
+        assert not is_wellformed_hypersurface(bad)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            stratified_locus,
+            c2_lower_bound,
+            lambda ws: stratum_singularity(ws, Stratum((0, 1))),
+            singular_locus,
+            contained_edges,
+            is_smooth_in_codim2,
+            contains_no_edge,
+        ],
+    )
+    def test_p4_entry_points_reject_four_weights(self, entry):
+        quartic_surface = WeightSystem(4, (1, 1, 1, 1))
+        assert is_quasismooth(quartic_surface)
+        with pytest.raises(ValueError, match="five weights"):
+            entry(quartic_surface)
 
 
 class TestCalabiYauDegree:
@@ -157,7 +192,7 @@ def reference_is_quasismooth(ws):
     return True
 
 
-def reference_stratified_locus(ws):
+def reference_locus(ws):
     d, w = ws.degree, ws.weights
     vertices = tuple(i for i in range(5) if w[i] > 1 and d % w[i] != 0)
     in_x, point_loci, curves = [], [], []
@@ -212,12 +247,12 @@ class TestAgainstAllSubsetsReference:
     @given(weight_systems())
     def test_random_weight_systems(self, ws):
         assert is_quasismooth(ws) == reference_is_quasismooth(ws)
-        assert _stratified_locus(ws) == reference_stratified_locus(ws)
+        assert stratified_locus(ws) == reference_locus(ws)
 
     def test_worked_examples(self):
         for ws in (X1734, X120, X56, X7, QUINTIC, WeightSystem(9, (1, 1, 3, 3, 7))):
             assert is_quasismooth(ws) == reference_is_quasismooth(ws)
-            assert _stratified_locus(ws) == reference_stratified_locus(ws)
+            assert stratified_locus(ws) == reference_locus(ws)
 
 
 def test_huge_degree_is_fast():
@@ -225,7 +260,7 @@ def test_huge_degree_is_fast():
     ws = WeightSystem(10**12, (1, 2, 3, 5, 7))
     start = time.perf_counter()
     assert is_quasismooth(ws)
-    report = _stratified_locus(ws)
+    report = stratified_locus(ws)
     assert time.perf_counter() - start < 0.5
     assert report.singular_vertices == (2, 4)
     assert not report.contained_edges
