@@ -235,6 +235,16 @@ def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _cmd_torus(args: argparse.Namespace) -> int:
     if args.list_builtins:
         for action_name, expected in torusq.BUILTIN_EXPECTED.items():
@@ -328,7 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--list-builtins", action="store_true", help="list the named actions"
     )
-    torus.add_argument("--cap", type=int, default=torusq.DEFAULT_CAP)
+    torus.add_argument(
+        "--cap",
+        type=_positive_int,
+        default=torusq.DEFAULT_CAP,
+        help="largest group order accepted from --file (default %(default)s); "
+        "builtin actions are not capped",
+    )
     torus.add_argument("--json", action="store_true", help="emit a JSON report")
     torus.set_defaults(handler=_cmd_torus)
 

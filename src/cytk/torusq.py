@@ -7,6 +7,12 @@ constraints satisfied by canonical quotients: element orders in {1,2,3,4,6},
 no non-trivial translations, at most one involution, and linear parts whose
 characteristic polynomial is the realification of an SL(2,C) element of the
 right order.  The complex structure itself is never represented.
+
+Translations and points are tuples of Fraction at the interface, but a
+product or a point image computes M v + t mod Z^4 on integer numerators
+over one common denominator, the lcm of those of v and t, and builds one
+Fraction per output coordinate.  No Fraction arithmetic runs inside the
+closure loop.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from cytk.arith import (
@@ -46,14 +53,30 @@ class ActionValidationError(ValueError):
     """The generated transformation set is not a canonical torus action."""
 
 
-def _identity_matrix() -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+_IDENTITY: IntMatrix = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+_ZERO: Point = (Fraction(0),) * 4
 
 
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    columns = tuple(zip(*b))
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
+        tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in columns)
+        for r0, r1, r2, r3 in a
+    )
+
+
+def _affine_image(linear: IntMatrix, shift: Point, vector: Sequence[Fraction]) -> Point:
+    """M v + t mod Z^4, in integer numerators over the lcm of the
+    denominators of v and t."""
+    den = lcm(*(x.denominator for x in shift), *(x.denominator for x in vector))
+    v0, v1, v2, v3 = [x.numerator * (den // x.denominator) for x in vector]
+    return tuple(
+        Fraction(
+            (r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + t.numerator * (den // t.denominator))
+            % den,
+            den,
+        )
+        for (r0, r1, r2, r3), t in zip(linear, shift)
     )
 
 
@@ -78,44 +101,37 @@ class AffineTorusMap:
         object.__setattr__(self, "translation", translation)
 
     @classmethod
+    def _trusted(cls, linear: IntMatrix, translation: Point) -> "AffineTorusMap":
+        """A map from parts known to be valid: a 4x4 int matrix of
+        determinant +-1 and a translation already reduced mod Z^4."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "linear", linear)
+        object.__setattr__(g, "translation", translation)
+        return g
+
+    @classmethod
     def identity(cls) -> "AffineTorusMap":
-        return cls(_identity_matrix(), (Fraction(0),) * 4)
+        return cls._trusted(_IDENTITY, _ZERO)
 
     @property
     def is_identity(self) -> bool:
-        return self.linear == _identity_matrix() and all(
-            t == 0 for t in self.translation
-        )
+        return self.linear == _IDENTITY and not any(self.translation)
 
     @property
     def is_translation(self) -> bool:
-        return self.linear == _identity_matrix()
+        return self.linear == _IDENTITY
 
     def __mul__(self, other: "AffineTorusMap") -> "AffineTorusMap":
-        """Composition self o other: (M1, t1)(M2, t2) = (M1 M2, M1 t2 + t1)."""
-        linear = _mat_mul(self.linear, other.linear)
-        translation = tuple(
-            (
-                sum(
-                    (Fraction(m) * t for m, t in zip(row, other.translation)),
-                    Fraction(0),
-                )
-                + t1
-            )
-            % 1
-            for row, t1 in zip(self.linear, self.translation)
+        """Composition self o other: (M1, t1)(M2, t2) = (M1 M2, M1 t2 + t1).
+        |det(M1 M2)| = 1 and the translation comes out reduced, so the
+        product skips the constructor's checks."""
+        return AffineTorusMap._trusted(
+            _mat_mul(self.linear, other.linear),
+            _affine_image(self.linear, self.translation, other.translation),
         )
-        return AffineTorusMap(linear, translation)
 
     def apply(self, point: Sequence[Fraction]) -> Point:
-        return tuple(
-            (
-                sum((Fraction(m) * p for m, p in zip(row, point)), Fraction(0))
-                + t
-            )
-            % 1
-            for row, t in zip(self.linear, self.translation)
-        )
+        return _affine_image(self.linear, self.translation, point)
 
     def order(self, cap: int = DEFAULT_CAP) -> int:
         power = self
@@ -146,11 +162,13 @@ def fixed_points(g: AffineTorusMap) -> frozenset[Point]:
 
 @dataclass(frozen=True)
 class TorusAction:
-    """A validated finite group of affine torus automorphisms."""
+    """A validated finite group of affine torus automorphisms; ``orders[i]``
+    is the order of ``elements[i]``."""
 
     label: str
     generators: tuple[AffineTorusMap, ...]
     elements: tuple[AffineTorusMap, ...]
+    orders: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -164,35 +182,42 @@ def close_group(
 ) -> TorusAction:
     """Close the generators under composition and validate the result.
 
+    The closure is breadth-first: each element, starting from the identity,
+    is multiplied on the right by each generator once.  A group G thus
+    costs |G|*|gens| products, an element reached by a word of length k has
+    entries of bit size O(k), and an infinite group is rejected after at
+    most (cap + 1)*|gens| products.  Each element's order is then computed
+    once and kept on the action.
+
     Raises ActionValidationError when the closure exceeds ``cap`` elements,
     contains several involutions, contains a non-trivial translation, has an
     element of order outside {1,2,3,4,6}, or has a linear part that is not
     the realification of an SL(2,C) element of matching order.
     """
     generators = tuple(generators)
-    elements = {AffineTorusMap.identity()}
-    frontier = list(generators)
-    while frontier:
-        g = frontier.pop()
-        if g in elements:
-            continue
-        elements.add(g)
-        if len(elements) > cap:
-            raise ActionValidationError(f"not finite within cap {cap}")
-        for h in list(elements):
-            for product in (g * h, h * g):
-                if product not in elements:
-                    frontier.append(product)
+    identity = AffineTorusMap.identity()
+    elements = {identity}
+    queue = [identity]
+    for g in queue:
+        for generator in generators:
+            product = g * generator
+            if product not in elements:
+                elements.add(product)
+                if len(elements) > cap:
+                    raise ActionValidationError(f"not finite within cap {cap}")
+                queue.append(product)
 
     ordered = tuple(sorted(elements, key=lambda g: (g.linear, g.translation)))
-    involutions = [g for g in ordered if not g.is_identity and (g * g).is_identity]
-    if len(involutions) > 1:
-        raise ActionValidationError(f"multiple involutions ({len(involutions)})")
+    # In a finite group every order is at most |G|, and the involutions
+    # are exactly the elements of order 2.
+    orders = tuple(g.order(cap=len(ordered)) for g in ordered)
+    involutions = orders.count(2)
+    if involutions > 1:
+        raise ActionValidationError(f"multiple involutions ({involutions})")
     for g in ordered:
         if g.is_translation and not g.is_identity:
             raise ActionValidationError("contains nontrivial translation")
-    for g in ordered:
-        n = g.order(cap=len(ordered))
+    for g, n in zip(ordered, orders):
         if n not in ALLOWED_ORDERS:
             raise ActionValidationError(f"element of forbidden order {n}")
         if charpoly(g.linear) != _CANONICAL_CHARPOLY[n]:
@@ -200,7 +225,9 @@ def close_group(
                 f"linear part of an order-{n} element is not an SL(2,C) "
                 "realification"
             )
-    return TorusAction(label=label, generators=generators, elements=ordered)
+    return TorusAction(
+        label=label, generators=generators, elements=ordered, orders=orders
+    )
 
 
 # Recognition of stabilizer subgroups by (order, element-order histogram);
@@ -216,11 +243,12 @@ _STABILIZER_CLASSES: Mapping[tuple[int, tuple[tuple[int, int], ...]], tuple[str,
 }
 
 
-def _classify_stabilizer(stabilizer: Sequence[AffineTorusMap]) -> tuple[str, DuValType]:
+def _classify_stabilizer(orders: Sequence[int]) -> tuple[str, DuValType]:
+    """The class of a stabilizer given the orders of its elements."""
     histogram: dict[int, int] = {}
-    for g in stabilizer:
-        histogram[g.order()] = histogram.get(g.order(), 0) + 1
-    key = (len(stabilizer), tuple(sorted(histogram.items())))
+    for n in orders:
+        histogram[n] = histogram.get(n, 0) + 1
+    key = (len(orders), tuple(sorted(histogram.items())))
     if key not in _STABILIZER_CLASSES:
         raise ActionValidationError(f"unrecognized stabilizer {key}")
     return _STABILIZER_CLASSES[key]
@@ -247,10 +275,14 @@ class QuotientReport:
 
 def quotient_singularities(action: TorusAction) -> QuotientReport:
     """Collect the fixed points of all non-identity elements, group them
-    into orbits, and read each orbit's du Val type off its stabilizer."""
+    into orbits, and read each orbit's du Val type off its stabilizer.
+
+    Only the elements of prime order are solved for: a fixed point of g is
+    fixed by every power of g, and each non-identity element has a power
+    of order 2 or 3."""
     points: set[Point] = set()
-    for g in action.elements:
-        if not g.is_identity:
+    for g, n in zip(action.elements, action.orders):
+        if n in (2, 3):
             points.update(fixed_points(g))
 
     orbits: list[Orbit] = []
@@ -258,9 +290,10 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
     for point in sorted(points):
         if point in seen:
             continue
-        orbit = {g.apply(point) for g in action.elements}
+        images = [g.apply(point) for g in action.elements]
+        orbit = set(images)
         seen.update(orbit)
-        stabilizer = [g for g in action.elements if g.apply(point) == point]
+        stabilizer = [n for image, n in zip(images, action.orders) if image == point]
         if len(orbit) * len(stabilizer) != action.order:
             raise ActionValidationError("orbit-stabilizer mismatch")
         name, du_val = _classify_stabilizer(stabilizer)
@@ -284,9 +317,6 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
 
 def _frac4(*values: str | int | Fraction) -> Point:
     return tuple(Fraction(v) for v in values)
-
-
-_ZERO = _frac4(0, 0, 0, 0)
 
 
 def _linear(rows: Sequence[Sequence[int]]) -> AffineTorusMap:

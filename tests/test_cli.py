@@ -8,6 +8,17 @@ import pytest
 from cytk.cli import main
 
 
+KUMMER_ACTION = {
+    "label": "kummer",
+    "generators": [
+        {
+            "linear": [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+            "translation": ["0", "0", "0", "0"],
+        }
+    ],
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -231,6 +242,28 @@ class TestTorusQuotient:
         code, _, err = run_cli(capsys, "torus-quotient", "--file", str(bad))
         assert code == 3
         assert "translation" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1", "x"])
+    def test_cap_below_one_exit_2(self, capsys, tmp_path, cap):
+        action = tmp_path / "kummer.json"
+        action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["torus-quotient", "--file", str(action), "--cap", cap])
+        assert exit_info.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+
+    def test_cap_bounds_file_closures_only(self, capsys, tmp_path):
+        action = tmp_path / "kummer.json"
+        action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "torus-quotient", "--file", str(action), "--cap", "2")
+        assert code == 0 and "16A1" in out
+        code, _, err = run_cli(capsys, "torus-quotient", "--file", str(action), "--cap", "1")
+        assert code == 3 and "not finite within cap 1" in err
+        _, plain, _ = run_cli(capsys, "torus-quotient", "--builtin", "bt24-linear")
+        code, capped, _ = run_cli(
+            capsys, "torus-quotient", "--builtin", "bt24-linear", "--cap", "1"
+        )
+        assert code == 0 and capped == plain
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from cytk.torusq import (
     _L8_SHIFT_C,
     _SWAP,
     BUILTIN_EXPECTED,
+    DEFAULT_CAP,
     ActionValidationError,
     AffineTorusMap,
     action_from_json,
@@ -318,3 +320,127 @@ class TestActionIO:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ActionValidationError):
             load_action(str(path))
+
+
+# ----------------------------------------------------------------------
+# Closure against the original algorithm, and invariance under changes of
+# lattice coordinates.
+
+
+def _mul4(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+        for i in range(4)
+    )
+
+
+def _affine(m, t, v):
+    """m v + t mod Z^4 in Fraction arithmetic."""
+    return tuple(
+        (sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) + s) % 1
+        for row, s in zip(m, t)
+    )
+
+
+def reference_closure(generators, cap=DEFAULT_CAP):
+    """The closure as first written: a LIFO frontier whose every new element
+    is multiplied by every known one on both sides, in Fraction arithmetic
+    on (linear, translation) pairs.  Returns the sorted pairs."""
+
+    def mul(g, h):
+        return _mul4(g[0], h[0]), _affine(g[0], g[1], h[1])
+
+    elements = {(ID4, ZERO4)}
+    frontier = [(g.linear, g.translation) for g in generators]
+    while frontier:
+        g = frontier.pop()
+        if g in elements:
+            continue
+        elements.add(g)
+        if len(elements) > cap:
+            raise ActionValidationError(f"not finite within cap {cap}")
+        for h in list(elements):
+            for product in (mul(g, h), mul(h, g)):
+                if product not in elements:
+                    frontier.append(product)
+    return sorted(elements)
+
+
+def random_change(rng, steps=6, bound=2, denominator=12):
+    """(P, P^-1, s): P a product of ``steps`` elementary matrices with
+    multipliers 0 < |k| <= bound, s in (1/denominator) Z^4."""
+    p, p_inv = ID4, ID4
+    for _ in range(steps):
+        i, j = rng.sample(range(4), 2)
+        k = rng.choice([x for x in range(-bound, bound + 1) if x])
+        e = tuple(tuple(int(r == c) + k * (r == i and c == j) for c in range(4)) for r in range(4))
+        e_inv = tuple(tuple(int(r == c) - k * (r == i and c == j) for c in range(4)) for r in range(4))
+        p, p_inv = _mul4(p, e), _mul4(e_inv, p_inv)
+    s = tuple(Fraction(rng.randrange(denominator), denominator) for _ in range(4))
+    return p, p_inv, s
+
+
+def conjugate(g, change):
+    """h g h^-1 for h = (P, s): linear P M P^-1, translation
+    P t + s - (P M P^-1) s."""
+    p, p_inv, s = change
+    linear = _mul4(_mul4(p, g.linear), p_inv)
+    moved = _affine(linear, ZERO4, s)
+    translation = tuple(a + b - c for a, b, c in zip(_affine(p, ZERO4, g.translation), s, moved))
+    return AffineTorusMap(linear, translation)
+
+
+BUILTIN_NAMES = sorted(BUILTIN_EXPECTED)
+
+
+def builtin_and_conjugates(name, count=2):
+    """The builtin's generators, then ``count`` seeded conjugates of them."""
+    generators = builtin_action(name).generators
+    rng = random.Random(f"conjugate:{name}")
+    yield generators
+    for _ in range(count):
+        change = random_change(rng)
+        yield tuple(conjugate(g, change) for g in generators)
+
+
+class TestClosureAndConjugation:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_closure_matches_reference(self, name):
+        for generators in builtin_and_conjugates(name):
+            action = close_group(generators, label=name)
+            assert [(g.linear, g.translation) for g in action.elements] == (
+                reference_closure(generators)
+            )
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_elements_unimodular_and_orders_stored(self, name):
+        for generators in builtin_and_conjugates(name):
+            action = close_group(generators, label=name)
+            assert len(action.orders) == len(action.elements)
+            for g, n in zip(action.elements, action.orders):
+                assert abs(determinant(g.linear)) == 1
+                assert n == g.order()
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_conjugates_keep_order_multiset_and_orbits(self, name):
+        builtin = quotient_singularities(builtin_action(name))
+        orbit_sizes = sorted(orbit.size for orbit in builtin.orbits)
+        for generators in list(builtin_and_conjugates(name))[1:]:
+            report = quotient_singularities(close_group(generators, label=name))
+            assert report.group_order == builtin.group_order
+            assert report.multiset == builtin.multiset == BUILTIN_EXPECTED[name]
+            assert sorted(orbit.size for orbit in report.orbits) == orbit_sizes
+
+    def test_conjugated_infinite_order_rejected_quickly(self):
+        # [[2,1],[1,1]] + I has infinite order; conjugated, the closure must
+        # still reach the cap within a few hundred products.
+        cat_map = AffineTorusMap(
+            ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), ZERO4
+        )
+        rng = random.Random(20260418)
+        for _ in range(6):
+            generator = conjugate(cat_map, random_change(rng))
+            start = perf_counter()
+            with pytest.raises(ActionValidationError, match="cap"):
+                close_group([generator])
+            assert perf_counter() - start < 0.5
