@@ -3,9 +3,10 @@
 
 Enumerates every tuple (d; w0..wn) of positive integers with d = sum(w)
 such that the general degree-d hypersurface in P(w0..wn) is quasismooth
-and wellformed.  Records whose weight multiset contains d/2 are written
-in 4-weight form (the d/2 entry dropped), the others with all weights,
-matching the layout of the published classification data.
+and wellformed.  Records are written in the list format of cytk.census
+(``census.format_record``), the layout of the published classification
+data.  ``--stats`` counts them by reading those lines back through
+``census.census_lines``, and exits 1 unless every record reads back.
 
 The search runs over normalized weights q_i = w_i / d.  Quasismoothness
 forces, for every i, some j with w_i | d - w_j, hence q_i = 1/a or
@@ -34,7 +35,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cytk.hypersurface import is_quasismooth, stratified_locus  # noqa: E402
+from cytk.census import census_lines, format_record  # noqa: E402
+from cytk.hypersurface import is_quasismooth  # noqa: E402
 from cytk.wps import WeightSystem, is_wellformed_hypersurface  # noqa: E402
 
 
@@ -252,28 +254,6 @@ def solve(
     return found
 
 
-def render_record(d: int, weights: tuple[int, ...]) -> str:
-    if d % 2 == 0 and d // 2 in weights:
-        reduced = list(weights)
-        reduced.remove(d // 2)
-        return " ".join(str(x) for x in (d, *reduced))
-    return " ".join(str(x) for x in (d, *weights))
-
-
-def hypersurface_stats(found) -> tuple[int, int]:
-    """(not smooth in codim 2, of which containing no edge) over 5-weight
-    records."""
-    not_smooth = 0
-    no_edge = 0
-    for d, weights in found:
-        locus = stratified_locus(WeightSystem(d, weights))
-        if not locus.smooth_in_codim2:
-            not_smooth += 1
-            if locus.contains_no_edge:
-                no_edge += 1
-    return not_smooth, no_edge
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description="regenerate the weight-system list")
     parser.add_argument("--weights", type=int, default=5, choices=(3, 4, 5))
@@ -297,12 +277,22 @@ def main() -> int:
     )
     if found:
         print(f"max degree found: {max(d for d, _ in found)}")
+    lines = [format_record(d, w) for d, w in found]
     if args.stats and args.weights == 5:
-        not_smooth, no_edge = hypersurface_stats(found)
-        print(f"not smooth in codim 2: {not_smooth}; of which no edge: {no_edge}")
+        summary, _ = census_lines(lines)
+        print(
+            f"not smooth in codim 2: {summary.not_smooth_codim2}; "
+            f"of which no edge: {summary.not_smooth_codim2_and_no_edge}"
+        )
+        if summary.failures or summary.total != len(found):
+            print(
+                f"error: the census read {summary.total} of {len(found)} "
+                f"records back, with {len(summary.failures)} failures",
+                file=sys.stderr,
+            )
+            return 1
 
     if args.out:
-        lines = [render_record(d, w) for d, w in found]
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(
                 "# General quasismooth wellformed hypersurfaces of degree\n"

@@ -5,6 +5,8 @@ The input format is tolerant whitespace-separated integers: the first
 integer on a line is the degree, the rest are weights (4 or 5 of them).
 Four-weight records are completed with the missing weight d/2, matching
 the correspondence between the two halves of the published classification.
+This module is the one owner of that format: ``parse_database`` reads it
+and ``format_record`` writes it.
 """
 
 from __future__ import annotations
@@ -21,13 +23,6 @@ from cytk.wps import WeightSystem, is_wellformed_hypersurface
 
 N3 = "N3"  # record arrived with 4 weights, the d/2 weight was appended
 N4 = "N4"  # record arrived with all 5 weights
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    degree: int
-    weights: tuple[int, ...]
-    source_line: int
 
 
 @dataclass(frozen=True)
@@ -59,17 +54,52 @@ class CensusSummary:
     failures: tuple[tuple[int, str], ...]
 
 
+def format_record(degree: int, weights: Sequence[int]) -> str:
+    """The list line of a weight system: degree, then the weights in the
+    order given, leaving out one weight equal to d/2 if there is one."""
+    if degree % 2 == 0 and degree // 2 in weights:
+        weights = list(weights)
+        weights.remove(degree // 2)
+    return " ".join(map(str, (degree, *weights)))
+
+
+def _record(values: list[int], lineno: int) -> NormalizedRecord:
+    """The record of a line's leading integers; ValueError says why they
+    denote none."""
+    if len(values) < 2:
+        raise ValueError("no degree/weight integers found")
+    degree, weights = values[0], tuple(values[1:])
+    if degree <= 0 or any(w <= 0 for w in weights):
+        raise ValueError("degree and weights must be positive")
+    if len(weights) == 4:
+        if degree % 2 != 0:
+            raise ValueError("4-weight record with odd degree")
+        if degree // 2 in weights:
+            raise ValueError("4-weight record already contains d/2")
+        weights += (degree // 2,)
+        origin = N3
+    elif len(weights) == 5:
+        origin = N4
+    else:
+        raise ValueError(f"expected 4 or 5 weights, got {len(weights)}")
+    if sum(weights) != degree:
+        raise ValueError(f"degree {degree} is not the weight sum {sum(weights)}")
+    ws = WeightSystem(degree, weights)  # may raise ValueError
+    return NormalizedRecord(ws=ws, origin=origin, source_line=lineno)
+
+
 def parse_database(
     lines: Iterable[str],
-) -> tuple[list[RawRecord], list[tuple[int, str]]]:
-    """One RawRecord per non-comment, non-blank line.
+) -> tuple[list[NormalizedRecord], list[tuple[int, str]]]:
+    """One NormalizedRecord per non-comment, non-blank line.
 
     The leading integers of a line are degree then weights; everything from
     the first non-integer token on is ignored.  Lines starting with '#' are
-    comments.  Malformed lines are collected as (line number, message) and
-    never abort the run.
+    comments.  A 4-weight record gets the weight d/2 appended, and every
+    record must have d = sum(w).  Malformed lines are collected as
+    (line number, message) and never abort the run.
     """
-    records: list[RawRecord] = []
+    records: list[NormalizedRecord] = []
     failures: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -81,57 +111,11 @@ def parse_database(
                 values.append(int(token))
             except ValueError:
                 break
-        if len(values) < 2:
-            failures.append((lineno, "no degree/weight integers found"))
-            continue
-        degree, weights = values[0], tuple(values[1:])
-        if degree <= 0 or any(w <= 0 for w in weights):
-            failures.append((lineno, "degree and weights must be positive"))
-            continue
-        if len(weights) not in (4, 5):
-            failures.append((lineno, f"expected 4 or 5 weights, got {len(weights)}"))
-            continue
-        if len(weights) == 4:
-            if degree % 2 != 0:
-                failures.append((lineno, "4-weight record with odd degree"))
-                continue
-            if degree // 2 in weights:
-                failures.append((lineno, "4-weight record already contains d/2"))
-                continue
-        records.append(RawRecord(degree, weights, lineno))
+        try:
+            records.append(_record(values, lineno))
+        except ValueError as exc:
+            failures.append((lineno, str(exc)))
     return records, failures
-
-
-def normalize(record: RawRecord) -> NormalizedRecord:
-    """Complete 4-weight records with the weight d/2 and check d = sum(w).
-
-    Raises ValueError when the record cannot denote a hypersurface with
-    trivial canonical class.
-    """
-    weights = record.weights
-    if len(weights) == 4:
-        if record.degree % 2 != 0:
-            raise ValueError("4-weight record with odd degree")
-        weights = weights + (record.degree // 2,)
-        origin = N3
-    else:
-        origin = N4
-    if sum(weights) != record.degree:
-        raise ValueError(
-            f"degree {record.degree} is not the weight sum {sum(weights)}"
-        )
-    ws = WeightSystem(record.degree, weights)  # may raise ValueError
-    return NormalizedRecord(ws=ws, origin=origin, source_line=record.source_line)
-
-
-def denormalize(record: NormalizedRecord) -> RawRecord:
-    """Inverse of :func:`normalize` on its image."""
-    if record.origin == N3:
-        half = record.ws.degree // 2
-        weights = list(record.ws.weights)
-        weights.remove(half)
-        return RawRecord(record.ws.degree, tuple(weights), record.source_line)
-    return RawRecord(record.ws.degree, record.ws.weights, record.source_line)
 
 
 def _evaluate(record: NormalizedRecord) -> RecordVerdict:
@@ -197,15 +181,9 @@ def run_census(
 def census_lines(
     lines: Iterable[str], jobs: int = 1
 ) -> tuple[CensusSummary, list[RecordVerdict]]:
-    """Parse, normalize and evaluate; all failures end up in the summary."""
-    raws, failures = parse_database(lines)
-    normalized = []
-    for raw in raws:
-        try:
-            normalized.append(normalize(raw))
-        except ValueError as exc:
-            failures.append((raw.source_line, str(exc)))
-    summary, verdicts = run_census(normalized, jobs=jobs)
+    """Parse and evaluate; all failures end up in the summary."""
+    records, failures = parse_database(lines)
+    summary, verdicts = run_census(records, jobs=jobs)
     merged = tuple(sorted(failures + list(summary.failures)))
     return replace(summary, failures=merged), verdicts
 
@@ -258,21 +236,7 @@ def verdicts_as_json(
                 {"line": line, "reason": reason} for line, reason in summary.failures
             ],
         },
-        "records": [
-            {
-                "line": v.line,
-                "degree": v.degree,
-                "weights": list(v.weights),
-                "origin": v.origin,
-                "wellformed": v.wellformed,
-                "quasismooth": v.quasismooth,
-                "calabi_yau": v.calabi_yau,
-                "smooth_in_codim2": v.smooth_in_codim2,
-                "contains_no_edge": v.contains_no_edge,
-                "singular_curve_types": list(v.singular_curve_types),
-            }
-            for v in verdicts
-        ],
+        "records": [vars(v) for v in verdicts],
     }
 
 

@@ -309,11 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument(
         "path",
         nargs="?",
-        help=f"input file ('-' or unset reads stdin; ${DATABASE_ENV} overrides)",
+        help=f"input file ('-' reads stdin; when omitted, ${DATABASE_ENV} or stdin)",
     )
     census.add_argument("--csv", metavar="PATH", help="write the verdict table as CSV")
     census.add_argument("--json", metavar="PATH", help="write the verdict table as JSON")
-    census.add_argument("--jobs", type=int, default=1, help="worker processes")
+    census.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     census.set_defaults(handler=_cmd_census)
 
     surf = sub.add_parser(

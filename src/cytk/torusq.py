@@ -30,7 +30,7 @@ from cytk.arith import (
     determinant,
     solve_congruence,
 )
-from cytk.surface import DuValMultiset, DuValType
+from cytk.surface import REALIZED, DuValMultiset, DuValType
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Point = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -377,7 +377,7 @@ _L8_SHIFT_B = _frac4("1/2", "1/2", 0, 0)
 _L8_SHIFT_C = _frac4(0, "1/2", 0, "-1/2")
 
 
-def _builtin_specs() -> list[tuple[str, str, list[AffineTorusMap]]]:
+def _builtin_generators() -> dict[str, tuple[AffineTorusMap, ...]]:
     neg_id = _linear([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     swap = _linear(_SWAP)
     l8_a = _linear(_L8_A)
@@ -385,49 +385,56 @@ def _builtin_specs() -> list[tuple[str, str, list[AffineTorusMap]]]:
     l8_c = _linear(_L8_C)
     l8_b_shifted = AffineTorusMap(tuple(tuple(r) for r in _L8_B), _L8_SHIFT_B)
     l8_c_shifted = AffineTorusMap(tuple(tuple(r) for r in _L8_C), _L8_SHIFT_C)
-    return [
-        ("kummer", "16A1", [neg_id]),
-        ("z3-diagonal", "9A2", [_linear(_block_diag(_MUL_J, _MUL_J2))]),
-        ("z4-square", "4A3+6A1", [swap]),
-        ("z6-diagonal", "A5+4A2+5A1", [_linear(_block_diag(_MUL_W, _MUL_W_INV))]),
-        ("bd8-shifted", "6A3+A1", [l8_a, l8_b_shifted]),
-        (
-            "bd8-gaussian",
-            "2D4+3A3+2A1",
-            [_linear(_block_diag(_MUL_I, _MUL_I_INV)), swap],
-        ),
-        ("bd8-linear", "4D4+3A1", [l8_a, l8_b]),
-        ("bd12-linear", "D5+3A3+2A2+A1", [swap, _linear(_block_diag(_MUL_W, _MUL_W_INV))]),
-        ("bt24-shifted", "A5+2A3+4A2", [l8_a, l8_b_shifted, l8_c_shifted]),
-        ("bt24-linear", "E6+D4+4A2+A1", [l8_a, l8_b, l8_c]),
-    ]
+    return {
+        "kummer": (neg_id,),
+        "z3-diagonal": (_linear(_block_diag(_MUL_J, _MUL_J2)),),
+        "z4-square": (swap,),
+        "z6-diagonal": (_linear(_block_diag(_MUL_W, _MUL_W_INV)),),
+        "bd8-shifted": (l8_a, l8_b_shifted),
+        "bd8-gaussian": (_linear(_block_diag(_MUL_I, _MUL_I_INV)), swap),
+        "bd8-linear": (l8_a, l8_b),
+        "bd12-linear": (swap, _linear(_block_diag(_MUL_W, _MUL_W_INV))),
+        "bt24-shifted": (l8_a, l8_b_shifted, l8_c_shifted),
+        "bt24-linear": (l8_a, l8_b, l8_c),
+    }
 
 
+_BUILTINS = _builtin_generators()
+
+# The builtins realize the entries of surface.REALIZED, in its order.
 BUILTIN_EXPECTED: dict[str, DuValMultiset] = {
-    name: DuValMultiset.parse(expected) for name, expected, _ in _builtin_specs()
+    name: multiset for name, (_, _, multiset) in zip(_BUILTINS, REALIZED, strict=True)
 }
+
+
+def _builtin_specs() -> list[tuple[str, str, tuple[AffineTorusMap, ...]]]:
+    """(name, expected multiset, generators) of each builtin action."""
+    return [
+        (name, str(BUILTIN_EXPECTED[name]), generators)
+        for name, generators in _BUILTINS.items()
+    ]
 
 
 def builtin_actions() -> list[TorusAction]:
     """The ten named example actions realizing the classified quotient
     multisets, each validated on construction."""
     return [
-        close_group(generators, label=name)
-        for name, _, generators in _builtin_specs()
+        close_group(generators, label=name) for name, generators in _BUILTINS.items()
     ]
 
 
 def builtin_action(name: str) -> TorusAction:
-    for label, _, generators in _builtin_specs():
-        if label == name:
-            return close_group(generators, label=label)
-    raise KeyError(f"unknown builtin action {name!r}")
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin action {name!r}")
+    return close_group(_BUILTINS[name], label=name)
 
 
 def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
     """Build a validated action from the JSON form
     {"label": str, "generators": [{"linear": [[int;4];4],
     "translation": ["p/q";4]}]}."""
+    if not isinstance(data, dict):
+        raise ActionValidationError("malformed action description: not a JSON object")
     try:
         label = data.get("label", "")
         generators = [
@@ -437,6 +444,10 @@ def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
             )
             for entry in data["generators"]
         ]
+    except ZeroDivisionError as exc:
+        raise ActionValidationError(
+            "malformed action description: zero denominator in a translation"
+        ) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ActionValidationError(f"malformed action description: {exc}") from exc
     return close_group(generators, label=label, cap=cap)

@@ -10,17 +10,17 @@ from cytk.census import (
     N3,
     N4,
     NormalizedRecord,
-    RawRecord,
     census_lines,
-    denormalize,
-    normalize,
+    format_record,
     parse_database,
     run_census,
     verdicts_as_json,
     write_csv,
 )
+from cytk.wps import WeightSystem
 
 PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+KS_LIST = PERFBENCH_DATA / "kreuzer_skarke_wp4.txt"
 
 SAMPLE = [
     "5 1 1 1 1 1",
@@ -33,11 +33,13 @@ class TestParseDatabase:
     def test_four_weight_record(self):
         records, failures = parse_database(["1734 91 96 102 578"])
         assert failures == []
-        assert records == [RawRecord(1734, (91, 96, 102, 578), 1)]
+        assert records == [
+            NormalizedRecord(WeightSystem(1734, (91, 96, 102, 578, 867)), N3, 1)
+        ]
 
     def test_five_weight_record(self):
         records, _ = parse_database(["120 3 7 20 40 50"])
-        assert records == [RawRecord(120, (3, 7, 20, 40, 50), 1)]
+        assert records == [NormalizedRecord(WeightSystem(120, (3, 7, 20, 40, 50)), N4, 1)]
 
     def test_comments_and_blanks_skipped(self):
         records, failures = parse_database(["# comment", "", "  ", "5 1 1 1 1 1"])
@@ -46,7 +48,7 @@ class TestParseDatabase:
 
     def test_trailing_tokens_ignored(self):
         records, failures = parse_database(["120 3 7 20 40 50 # nice one"])
-        assert records == [RawRecord(120, (3, 7, 20, 40, 50), 1)]
+        assert records == [NormalizedRecord(WeightSystem(120, (3, 7, 20, 40, 50)), N4, 1)]
         assert failures == []
 
     def test_bad_lines_collected_not_fatal(self):
@@ -58,7 +60,7 @@ class TestParseDatabase:
 
     def test_odd_degree_four_weights_rejected(self):
         _, failures = parse_database(["9 1 1 3 4"])
-        assert len(failures) == 1
+        assert failures == [(1, "4-weight record with odd degree")]
 
     def test_trivial_variable_rejected(self):
         _, failures = parse_database(["10 1 2 2 5"])
@@ -66,41 +68,86 @@ class TestParseDatabase:
 
 
 class TestNormalize:
+    """parse_database completes a 4-weight record with the weight d/2 and
+    requires d = sum(w); format_record writes the record back."""
+
     def test_appends_half_degree(self):
-        nr = normalize(RawRecord(1734, (91, 96, 102, 578), 1))
+        (nr,), _ = parse_database(["1734 91 96 102 578"])
         assert nr.ws.weights == (91, 96, 102, 578, 867)
         assert nr.origin == N3
 
     def test_five_weights_pass_through(self):
-        nr = normalize(RawRecord(120, (3, 7, 20, 40, 50), 1))
+        (nr,), _ = parse_database(["120 3 7 20 40 50"])
         assert nr.ws.weights == (3, 7, 20, 40, 50)
         assert nr.origin == N4
 
     def test_small_example(self):
-        nr = normalize(RawRecord(10, (1, 1, 1, 2), 1))
+        (nr,), _ = parse_database(["10 1 1 1 2"])
         assert nr.ws.weights == (1, 1, 1, 2, 5)
 
     def test_wrong_sum_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(RawRecord(8, (1, 1, 1, 2), 1))
+        records, failures = parse_database(["8 1 1 1 2"])
+        assert records == []
+        assert failures == [(1, "degree 8 is not the weight sum 9")]
 
     def test_round_trip(self):
-        for raw in (
-            RawRecord(1734, (91, 96, 102, 578), 3),
-            RawRecord(120, (3, 7, 20, 40, 50), 4),
-        ):
-            assert denormalize(normalize(raw)) == raw
+        for line in ("1734 91 96 102 578", "120 3 7 20 40 50"):
+            (nr,), _ = parse_database([line])
+            assert format_record(nr.ws.degree, nr.ws.weights) == line
 
     def test_distinct_records_stay_distinct(self):
-        a = normalize(RawRecord(1734, (91, 96, 102, 578), 1))
+        (a,), _ = parse_database(["1734 91 96 102 578"])
         b = NormalizedRecord(a.ws, N4, 1)
         assert a != b
+
+
+class TestRecordFormat:
+    def test_leaves_out_one_half_degree_weight(self):
+        assert format_record(10, (1, 1, 1, 2, 5)) == "10 1 1 1 2"
+        assert format_record(4, (1, 1, 2)) == "4 1 1"
+        assert format_record(5, (1, 1, 1, 1, 1)) == "5 1 1 1 1 1"
+        assert format_record(120, (3, 7, 20, 40, 50)) == "120 3 7 20 40 50"
+
+    def test_ks_list_lines_are_formatted_records(self):
+        lines = KS_LIST.read_text(encoding="utf-8").splitlines()
+        records, failures = parse_database(lines)
+        assert failures == []
+        assert len(records) == sum(
+            1 for line in lines if line.strip() and not line.startswith("#")
+        )
+        for r in records:
+            assert format_record(r.ws.degree, r.ws.weights) == lines[r.source_line - 1]
+
+    @pytest.mark.parametrize(
+        "line, reasons",
+        [
+            ("junk line", ["no degree/weight integers found"]),
+            ("7", ["no degree/weight integers found"]),
+            ("0 1 1 1 1 1", ["degree and weights must be positive"]),
+            ("5 -1 1 1 1 1", ["degree and weights must be positive"]),
+            ("5 1 1", ["expected 4 or 5 weights, got 2"]),
+            ("8 1 1 1 1 1 1 1", ["expected 4 or 5 weights, got 7"]),
+            ("9 1 1 3 4", ["4-weight record with odd degree"]),
+            ("10 1 2 2 5", ["4-weight record already contains d/2"]),
+            ("8 1 1 1 2", ["degree 8 is not the weight sum 9"]),
+            ("9 1 1 3 3 7", ["degree 9 is not the weight sum 15"]),
+            ("10 2 2 2 2 2", ["weights must be globally coprime"]),
+            ("16 2 2 2 2", ["weights must be globally coprime"]),
+            ("9 1 1 1 1 5", ["not quasismooth"]),
+            ("14 1 1 4 4 4", ["not quasismooth", "not wellformed"]),
+        ],
+    )
+    def test_census_failure_reasons(self, line, reasons):
+        summary, verdicts = census_lines(["# header", line])
+        assert summary.failures == tuple((2, reason) for reason in reasons)
+        evaluated = reasons[0].startswith("not ")  # parsed, then failed a predicate
+        assert summary.total == len(verdicts) == int(evaluated)
 
 
 def normalized_sample():
     records, failures = parse_database(SAMPLE)
     assert not failures
-    return [normalize(r) for r in records]
+    return records
 
 
 class TestRunCensus:
@@ -155,7 +202,7 @@ class TestRunCensus:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_ks_list_gives_golden_verdicts(self, jobs):
-        lines = (PERFBENCH_DATA / "kreuzer_skarke_wp4.txt").read_text(encoding="utf-8")
+        lines = KS_LIST.read_text(encoding="utf-8")
         _, verdicts = census_lines(lines.splitlines(), jobs=jobs)
         out = io.StringIO()
         write_csv(verdicts, out)

@@ -138,6 +138,23 @@ class TestCensus:
         assert code == 0
         assert "records analyzed:                1" in out
 
+    def test_explicit_path_beats_env_var(self, capsys, tmp_path, monkeypatch):
+        sample = tmp_path / "k.txt"
+        sample.write_text("5 1 1 1 1 1\n", encoding="utf-8")
+        monkeypatch.setenv("CYTK_DATABASE", str(tmp_path / "nonexistent.txt"))
+        code, out, _ = run_cli(capsys, "census", str(sample))
+        assert code == 0
+        assert "records analyzed:                1" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-5", "x"])
+    def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
+        sample = tmp_path / "k.txt"
+        sample.write_text("5 1 1 1 1 1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", str(sample), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_parse_failures_keep_exit_zero(self, capsys, tmp_path):
         sample = tmp_path / "messy.txt"
         sample.write_text("garbage line\n5 1 1 1 1 1\n", encoding="utf-8")
@@ -217,6 +234,34 @@ class TestTorusQuotient:
         code, _, err = run_cli(capsys, "torus-quotient", "--file", str(bad))
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {
+                "label": "zero-denominator",
+                "generators": [
+                    {
+                        "linear": KUMMER_ACTION["generators"][0]["linear"],
+                        "translation": ["1/0", "0", "0", "0"],
+                    }
+                ],
+            },
+        ],
+        ids=["top-level-list", "zero-denominator"],
+    )
+    def test_malformed_description_exit_3(self, tmp_path, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert "error: malformed action description" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_invalid_action_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "translation.json"

@@ -1,6 +1,7 @@
 """The weight-system generator, run as a script: its counts for three and
 four weights, and its five-weight output against the shipped KS list."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,21 @@ def test_five_weights_reproduce_ks_list_up_to_degree_100(tmp_path):
     expected = [r for r in records(KS_LIST) if r[0] <= 100]
     assert len(expected) == 2410
     assert records(path) == expected
+
+
+@pytest.mark.parametrize(
+    "formatter",
+    [
+        lambda d, w: " ".join(map(str, (d, *w[1:]))),  # loses a weight: failures
+        lambda d, w: "# " + " ".join(map(str, (d, *w))),  # comments: total is short
+    ],
+    ids=["failures", "short-total"],
+)
+def test_stats_fail_unless_every_record_reads_back(monkeypatch, capsys, formatter):
+    spec = importlib.util.spec_from_file_location("generate_weight_systems", SCRIPT)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "format_record", formatter)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--cap", "30", "--stats"])
+    assert generator.main() == 1
+    assert "error: the census read" in capsys.readouterr().err
