@@ -3,9 +3,10 @@
 
 Enumerates every tuple (d; w0..wn) of positive integers with d = sum(w)
 such that the general degree-d hypersurface in P(w0..wn) is quasismooth
-and wellformed.  Records are written in the list format of cytk.census
-(``census.format_record``), the layout of the published classification
-data.  ``--stats`` counts them by reading those lines back through
+and wellformed.  Five-weight records are written in the list format of
+cytk.census (``census.format_record``), the layout of the published
+classification data; systems of three or four weights are written with
+every weight.  ``--stats`` counts them by reading those lines back through
 ``census.census_lines``, and exits 1 unless every record reads back.
 
 The search runs over normalized weights q_i = w_i / d.  Quasismoothness
@@ -277,7 +278,12 @@ def main() -> int:
     )
     if found:
         print(f"max degree found: {max(d for d, _ in found)}")
-    lines = [format_record(d, w) for d, w in found]
+    if args.weights == 5:
+        lines = [format_record(d, w) for d, w in found]
+        layout = "4-weight records omit the\n# weight d/2."
+    else:  # a 4-weight census line omits d/2, so shorter systems are written in full
+        lines = [" ".join(map(str, (d, *w))) for d, w in found]
+        layout = f"every record lists\n# all {args.weights} weights."
     if args.stats and args.weights == 5:
         summary, _ = census_lines(lines)
         print(
@@ -293,11 +299,12 @@ def main() -> int:
             return 1
 
     if args.out:
+        last = f"w{args.weights - 1}"
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(
                 "# General quasismooth wellformed hypersurfaces of degree\n"
-                "# d = w0+...+w4 in P(w0..w4); 4-weight records omit the\n"
-                "# weight d/2.  Regenerate: scripts/generate_weight_systems.py\n"
+                f"# d = w0+...+{last} in P(w0..{last}); {layout}"
+                "  Regenerate: scripts/generate_weight_systems.py\n"
             )
             handle.write("\n".join(lines) + "\n")
         print(f"wrote {len(lines)} records to {args.out}")

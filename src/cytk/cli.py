@@ -1,6 +1,10 @@
 """Command-line interface: analyze, census, surface, enumerate-zero-c2 and
 torus-quotient subcommands, with human-readable or JSON output.
 
+One argument parser, built when the module is imported, serves every
+call of ``main``: a request pays only for parsing its own arguments, and
+concurrent callers can share the parser, which keeps no per-call state.
+
 Rationals are serialized as "num/den" strings so that JSON output stays
 exact.  JSON documents are emitted with sorted keys and a fixed layout, so
 parsing and re-serializing is byte-identical.
@@ -351,8 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.handler(args)
 
 

@@ -429,6 +429,14 @@ def builtin_action(name: str) -> TorusAction:
     return close_group(_BUILTINS[name], label=name)
 
 
+def _linear_entry(value: object) -> int:
+    """A linear-part entry, which JSON must give as an integer: a float is
+    not truncated and ``true`` is not read as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"linear entry {json.dumps(value)} is not an integer")
+    return value
+
+
 def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
     """Build a validated action from the JSON form
     {"label": str, "generators": [{"linear": [[int;4];4],
@@ -439,7 +447,7 @@ def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
         label = data.get("label", "")
         generators = [
             AffineTorusMap(
-                tuple(tuple(int(x) for x in row) for row in entry["linear"]),
+                tuple(tuple(_linear_entry(x) for x in row) for row in entry["linear"]),
                 tuple(Fraction(str(t)) for t in entry["translation"]),
             )
             for entry in data["generators"]

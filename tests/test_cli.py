@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from cytk import cli, torusq
 from cytk.cli import main
 
 
@@ -263,6 +265,31 @@ class TestTorusQuotient:
         assert "error: malformed action description" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "entry, shown", [(-1.5, "-1.5"), (True, "true"), ("1", '"1"')],
+        ids=["float", "bool", "string"],
+    )
+    def test_non_integer_linear_entry_exit_3(self, tmp_path, entry, shown):
+        linear = [row[:] for row in KUMMER_ACTION["generators"][0]["linear"]]
+        linear[0][0] = entry
+        document = {
+            "label": "kummer",
+            "generators": [{"linear": linear, "translation": ["0", "0", "0", "0"]}],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert result.stderr == (
+            "error: malformed action description: "
+            f"linear entry {shown} is not an integer\n"
+        )
+        assert "Traceback" not in result.stderr
+
     def test_invalid_action_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "translation.json"
         bad.write_text(
@@ -318,6 +345,80 @@ class TestTorusQuotient:
         assert document["multiset"] == "4A3+6A1"
         assert document["orbifold_c2"] == "0/1"
         assert json.dumps(document, sort_keys=True, indent=2) == out.strip()
+
+
+class TestSharedParser:
+    """One parser serves every call of main; no call leaks into the next."""
+
+    def test_calls_in_sequence_keep_their_own_arguments(self, capsys, tmp_path):
+        weights = ("56", "2", "4", "9", "13", "28")
+        code, out, _ = run_cli(capsys, "analyze", *weights, "--json")
+        assert code == 0 and json.loads(out)["degree"] == 56
+        code, out, _ = run_cli(capsys, "analyze", *weights)
+        assert code == 0 and out.startswith("X_56 in P(2, 4, 9, 13, 28)\n")
+        assert "  wellformed:        yes" in out
+
+        action = tmp_path / "kummer.json"
+        action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
+        code, _, err = run_cli(capsys, "torus-quotient", "--file", str(action), "--cap", "1")
+        assert code == 3 and "not finite within cap 1" in err
+        assert cli._PARSER.parse_args(["torus-quotient", "--file", str(action)]).cap == 48
+        code, out, _ = run_cli(capsys, "torus-quotient", "--file", str(action))
+        assert code == 0 and "16A1" in out
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["surface"])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "surface", "16A1")
+        assert code == 0 and "realized" in out
+
+    def test_main_builds_no_parser_per_call(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("build_parser called per request")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, _ = run_cli(capsys, "surface", "9A2", "--json")
+        assert code == 0 and json.loads(out)["classification"]["entry"] == 2
+        code, out, _ = run_cli(capsys, "enumerate-zero-c2")
+        assert code == 0 and out.endswith("total: 35\n")
+
+    def test_threads_share_the_parser(self):
+        argvs = [
+            ["analyze", "5", "1", "1", "1", "1", "1"],
+            ["analyze", "120", "3", "7", "20", "40", "50", "--json"],
+            ["census", "db.txt", "--jobs", "2", "--csv", "out.csv"],
+            ["census"],
+            ["surface", "2A3+11A1", "--json"],
+            ["enumerate-zero-c2"],
+            ["torus-quotient", "--builtin", "kummer"],
+            ["torus-quotient", "--file", "a.json", "--cap", "7", "--json"],
+            ["torus-quotient", "--list-builtins"],
+        ]
+        serial = [cli._PARSER.parse_args(argv) for argv in argvs]
+        start = threading.Barrier(4)
+        results: list[list] = [[] for _ in range(4)]
+
+        def client(own: list) -> None:
+            start.wait()
+            for _ in range(100):
+                own.append([cli._PARSER.parse_args(argv) for argv in argvs])
+
+        threads = [threading.Thread(target=client, args=(own,)) for own in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for own in results:
+            assert len(own) == 100
+            assert all(parsed == serial for parsed in own)
+        assert serial[7].cap == 7 and serial[6].cap == torusq.DEFAULT_CAP
 
 
 def test_module_entry_point():

@@ -35,6 +35,15 @@ def test_small_weight_counts(weights, cap, count):
     assert out.startswith(f"{count} weight systems with {weights} weights ")
 
 
+def test_three_weights_written_in_full(tmp_path):
+    path = tmp_path / "three.txt"
+    generate("--weights", "3", "--cap", "60", "--out", str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("# d = w0+...+w2 in P(w0..w2); ")
+    assert "4 1 1 2" in lines and "6 1 2 3" in lines
+    assert all(len(line.split()) == 4 for line in lines if not line.startswith("#"))
+
+
 def test_five_weights_reproduce_ks_list_up_to_degree_100(tmp_path):
     path = tmp_path / "ks.txt"
     out = generate("--weights", "5", "--cap", "100", "--stats", "--out", str(path))

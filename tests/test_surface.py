@@ -1,4 +1,7 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from cytk.surface import (
     EMPTY,
+    _candidate_types,
     GATE_C2,
     GATE_TOO_FEW,
     GATE_TOO_MANY,
@@ -24,6 +28,51 @@ from cytk.surface import (
 
 # frozen after the first verified enumeration run (bound-stable, see below)
 ZERO_C2_COUNT = 35
+ZERO_C2_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zero_c2.txt"
+
+
+def fraction_zero_c2(max_k):
+    """Test-only copy of the earlier search, in Fraction arithmetic and
+    without pruning."""
+    types = sorted(_candidate_types(max_k), key=lambda t: t.deficiency, reverse=True)
+    solutions, acc = [], []
+
+    def descend(idx, remaining):
+        if remaining == 0:
+            solutions.append(DuValMultiset(tuple(acc)))
+            return
+        if idx == len(types):
+            return
+        term = types[idx].deficiency
+        for count in range(int(remaining / term), 0, -1):
+            acc.append((types[idx], count))
+            descend(idx + 1, remaining - count * term)
+            acc.pop()
+        descend(idx + 1, remaining)
+
+    descend(0, Fraction(24))
+    solutions.sort(key=lambda m: m.entries)
+    return solutions
+
+
+def nested_calls(fn, *args):
+    """Calls made to the functions defined inside ``fn`` while it runs:
+    its search nodes, plus a few per type and per solution (sort keys and
+    generator expressions)."""
+    nested = {c for c in fn.__code__.co_consts if isinstance(c, CodeType)}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in nested:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 class TestDuValType:
@@ -196,6 +245,19 @@ class TestEnumerateZeroC2:
 
     def test_deterministic_order(self):
         assert enumerate_zero_c2() == enumerate_zero_c2()
+
+    @pytest.mark.parametrize("max_k", range(1, 24))
+    def test_equals_the_fraction_search(self, max_k):
+        assert enumerate_zero_c2(max_k) == fraction_zero_c2(max_k)
+
+    def test_matches_the_shipped_list_line_for_line(self):
+        lines = ZERO_C2_LIST.read_text(encoding="utf-8").splitlines()
+        expected = [line for line in lines if line and not line.startswith("#")]
+        assert [str(m) for m in enumerate_zero_c2()] == expected
+
+    def test_gcd_prune_bounds_the_search(self):
+        # 2335 nodes with the suffix gcd; without pruning, 18205.
+        assert nested_calls(enumerate_zero_c2) < 3000
 
 
 class TestConditionalFlag:
