@@ -134,9 +134,15 @@ def _divisors(n: int) -> list[int]:
 # ----------------------------------------------------------------------
 # Denominator-ordered depth-first search.
 
+# Largest common denominator tabulated for cycle blocks of 4 and 5 linked
+# values; blocks of 3 go up to the degree cap.  The long tables cost the
+# most to build.  This is a search limit, not a proven bound: a long cycle
+# over a larger denominator is not generated.
+LONG_CYCLE_DEN_CAP = 1500
+
 
 class Enumerator:
-    def __init__(self, slots: int, cap: int, long_den_cap: int):
+    def __init__(self, slots: int, cap: int):
         self.slots = slots
         self.cap = cap
         self.solutions: set[tuple[int, tuple[int, ...]]] = set()
@@ -144,7 +150,7 @@ class Enumerator:
         if slots >= 2:
             self.tables[2] = two_cycle_table(cap)
         for length in range(3, slots + 1):
-            den_cap = cap if length <= 3 else long_den_cap
+            den_cap = cap if length <= 3 else LONG_CYCLE_DEN_CAP
             self.tables[length] = chain_cycle_table(cap, length, slots, den_cap)
 
     def run(self) -> None:
@@ -242,10 +248,8 @@ class Enumerator:
                     try_batch([(num, den) for num in nums])
 
 
-def solve(
-    slots: int, cap: int, long_den_cap: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    enum = Enumerator(slots, cap, long_den_cap)
+def solve(slots: int, cap: int) -> list[tuple[int, tuple[int, ...]]]:
+    enum = Enumerator(slots, cap)
     enum.run()
     found = []
     for d, weights in sorted(enum.solutions):
@@ -259,18 +263,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="regenerate the weight-system list")
     parser.add_argument("--weights", type=int, default=5, choices=(3, 4, 5))
     parser.add_argument("--cap", type=int, default=4000, help="max degree searched")
-    parser.add_argument(
-        "--long-den-cap",
-        type=int,
-        default=1500,
-        help="denominator cap for cycle blocks of length 4 and 5",
-    )
     parser.add_argument("--stats", action="store_true", help="census statistics")
     parser.add_argument("--out", help="write the database to this path")
     args = parser.parse_args()
 
     start = time.time()
-    found = solve(args.weights, args.cap, args.long_den_cap)
+    found = solve(args.weights, args.cap)
     elapsed = time.time() - start
     print(
         f"{len(found)} weight systems with {args.weights} weights "

@@ -1,25 +1,30 @@
 """Exact integer and rational primitives shared by the geometry modules.
 
-Partition feasibility, integer determinants, characteristic polynomials,
-Smith normal form and linear congruences modulo the integer lattice.
-Everything is exact; no floating point is used anywhere.
+Partition feasibility, integer determinants, characteristic polynomials
+and linear congruences modulo the integer lattice.  Everything is exact;
+no floating point is used anywhere.
 
 A partition query costs O(1) big-integer operations for two parts.  For
 three or more parts it tries the multiples of the largest part up to its
 period against the others, at most min(parts) ** (len(parts) - 2) pair
 tests, so its cost is bounded by the parts and grows with the target only
 through the length of its digits.
+
+A congruence A x = c/q (mod Z^n), with c integral, is brought to upper
+triangular form by unimodular integer row operations on [A | c]: Euclid's
+algorithm down each column.  The solutions are then built from the last
+row up as integer numerators over s = q * |det A|.  Division by a pivot h
+is exact, because s and the right-hand side of row i carry h: every
+coordinate solved before it is a multiple of the pivots above its row.  A
+Fraction is built only for each coordinate of the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class NoSolutionError(ValueError):
@@ -121,123 +126,6 @@ def charpoly(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def charpoly_eval(coeffs: Sequence[int], x: int) -> int:
-    value = 0
-    for c in coeffs:
-        value = value * x + c
-    return value
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class SnfDecomposition:
-    """Smith normal form data ``U * A * V = diag(d1, ..., dk)`` with U, V
-    unimodular and ``d1 | d2 | ...`` (zeros last)."""
-
-    left: IntMatrix
-    diagonal: tuple[int, ...]
-    right: IntMatrix
-    original: IntMatrix
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfDecomposition:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Deterministic for a fixed input; the diagonal is non-negative and forms
-    a divisibility chain.
-    """
-    original = tuple(tuple(map(int, row)) for row in _as_matrix(a))
-    m = [list(row) for row in original]
-    rows, cols = len(m), len(m[0])
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for r in range(rows):
-            m[r][i] -= q * m[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(rows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # move a minimal non-zero entry of the trailing block to (t, t)
-        entries = [
-            (abs(m[i][j]), i, j)
-            for i in range(t, rows)
-            for j in range(t, cols)
-            if m[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                row_op(i, t, q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                col_op(j, t, q)
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the whole trailing block for the chain to hold
-        stray = next(
-            (
-                (i, j)
-                for i in range(t + 1, rows)
-                for j in range(t + 1, cols)
-                if m[i][j] % m[t][t] != 0
-            ),
-            None,
-        )
-        if stray is not None:
-            row_op(t, stray[0], -1)  # add the offending row to row t
-            continue
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    diagonal = tuple(m[i][i] for i in range(min(rows, cols)))
-    return SnfDecomposition(
-        left=tuple(tuple(r) for r in u),
-        diagonal=diagonal,
-        right=tuple(tuple(r) for r in v),
-        original=original,
-    )
-
-
-def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((Fraction(x) * y for x, y in zip(row, vec)), Fraction(0)) for row in mat]
-
-
 def solve_congruence(
     a: Sequence[Sequence[int]], b: Sequence[Fraction | int]
 ) -> frozenset[tuple[Fraction, ...]]:
@@ -248,28 +136,53 @@ def solve_congruence(
     compatible system raises :class:`InfiniteSolutionsError`; an
     incompatible one raises :class:`NoSolutionError`.
     """
-    snf = smith_normal_form(a)
-    n = len(snf.original)
-    if any(len(r) != n for r in snf.original):
+    m = _as_matrix(a)
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
     rhs = [Fraction(x) for x in b]
     if len(rhs) != n:
         raise ValueError("vector length must match the matrix")
-    c = _mat_vec(snf.left, rhs)
+    # A x = c / q (mod Z^n) with c integral; unimodular row operations on
+    # the augmented rows [A | c] keep the solution set.
+    q = lcm(*(x.denominator for x in rhs))
+    rows = [row + [x.numerator * (q // x.denominator)] for row, x in zip(m, rhs)]
 
-    # Diagonal system d_i y_i = c_i (mod Z), then x = V y.
-    for d, ci in zip(snf.diagonal, c):
-        if d == 0 and ci.denominator != 1:
-            raise NoSolutionError(f"no solution: {ci} is not integral")
-    if any(d == 0 for d in snf.diagonal):
+    rank = 0
+    for col in range(n):
+        while True:  # Euclid down the column below row ``rank``
+            live = [i for i in range(rank, n) if rows[i][col]]
+            if not live:
+                break
+            low = min(live, key=lambda i: abs(rows[i][col]))
+            rows[rank], rows[low] = rows[low], rows[rank]
+            if len(live) == 1:
+                rank += 1
+                break
+            pivot = rows[rank]
+            for i in range(rank + 1, n):
+                k = rows[i][col] // pivot[col]
+                if k:
+                    rows[i] = [x - k * y for x, y in zip(rows[i], pivot)]
+
+    # Rows from ``rank`` on read 0 = c_i / q (mod Z).
+    for row in rows[rank:]:
+        if row[n] % q:
+            raise NoSolutionError(f"no solution: {Fraction(row[n], q)} is not integral")
+    if rank < n:
         raise InfiniteSolutionsError("infinite solution set: matrix is singular")
 
-    axes = []
-    for d, ci in zip(snf.diagonal, c):
-        axes.append(tuple((ci + k) / d % 1 for k in range(abs(d))))
-    solutions = set()
-    v = snf.right
-    for y in product(*axes):
-        x = tuple(val % 1 for val in _mat_vec(v, list(y)))
-        solutions.add(x)
-    return frozenset(solutions)
+    # Numerators X over s = q * |det A|, from the last row up: row i reads
+    # h X_i + (its entries right of h) . X = c_i |det A| (mod s), which has
+    # the |h| solutions below, each division exact (see the module doc).
+    det = abs(prod(rows[i][i] for i in range(n)))
+    s = q * det
+    tails: list[tuple[int, ...]] = [()]
+    for i in reversed(range(n)):
+        h, *right, c = rows[i][i:]
+        grown = []
+        for tail in tails:
+            rest = c * det - sum(map(mul, right, tail))
+            grown += [((rest + t * s) // h % s, *tail) for t in range(abs(h))]
+        tails = grown
+    return frozenset(tuple(Fraction(x, s) for x in tail) for tail in tails)

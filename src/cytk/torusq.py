@@ -12,7 +12,9 @@ Translations and points are tuples of Fraction at the interface, but a
 product or a point image computes M v + t mod Z^4 on integer numerators
 over one common denominator, the lcm of those of v and t, and builds one
 Fraction per output coordinate.  No Fraction arithmetic runs inside the
-closure loop.
+closure loop.  Fixed points are solved the same way: ``arith.solve_congruence``
+works on integer numerators over one common denominator and builds a
+Fraction only for each coordinate of a solution.
 """
 
 from __future__ import annotations

@@ -11,11 +11,9 @@ from cytk.arith import (
     InfiniteSolutionsError,
     NoSolutionError,
     charpoly,
-    charpoly_eval,
     determinant,
     is_pair_partitionable,
     is_partitionable,
-    smith_normal_form,
     solve_congruence,
 )
 
@@ -123,65 +121,6 @@ def mat_mul(a, b):
     )
 
 
-def check_snf(a):
-    snf = smith_normal_form(a)
-    rows, cols = len(a), len(a[0])
-    assert abs(determinant(snf.left)) == 1
-    assert abs(determinant(snf.right)) == 1
-    diag = mat_mul(mat_mul(snf.left, snf.original), snf.right)
-    for i in range(rows):
-        for j in range(cols):
-            expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-            assert diag[i][j] == expected
-    for d1, d2 in zip(snf.diagonal, snf.diagonal[1:]):
-        assert d1 >= 0 and d2 >= 0
-        if d1 == 0:
-            assert d2 == 0
-        else:
-            assert d2 % d1 == 0
-    return snf
-
-
-class TestSmithNormalForm:
-    def test_identity(self):
-        snf = check_snf([[int(i == j) for j in range(4)] for i in range(4)])
-        assert snf.diagonal == (1, 1, 1, 1)
-
-    def test_upper_triangular_2x2(self):
-        # worked by hand: row/column reduction of [[2,1],[0,2]] gives (1, 4)
-        snf = check_snf([[2, 1], [0, 2]])
-        assert snf.diagonal == (1, 4)
-
-    def test_zero_matrix(self):
-        snf = check_snf([[0, 0], [0, 0], [0, 0]])
-        assert snf.diagonal == (0, 0)
-
-    def test_rectangular(self):
-        check_snf([[2, 4, 4], [-6, 6, 12]])
-
-    def test_deterministic(self):
-        a = [[3, 1, -4], [2, -3, 1], [0, 5, 9]]
-        assert smith_normal_form(a) == smith_normal_form(a)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
-        ),
-        st.integers(min_value=0, max_value=2**30),
-    )
-    def test_diagonal_invariant_under_unimodular_factors(self, rows, seed):
-        a = tuple(tuple(r) for r in rows)
-        rng = random.Random(seed)
-        u = random_unimodular(rng, n=3)
-        v = random_unimodular(rng, n=3)
-        transformed = mat_mul(mat_mul(u, a), v)
-        assert smith_normal_form(a).diagonal == smith_normal_form(transformed).diagonal
-        check_snf(a)
-
-
 class TestDeterminantAndCharpoly:
     def test_determinant_examples(self):
         assert determinant([[2, 1], [0, 2]]) == 4
@@ -197,10 +136,7 @@ class TestDeterminantAndCharpoly:
         rng = random.Random(7)
         for _ in range(20):
             m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-            coeffs = charpoly(m)
-            assert charpoly_eval(coeffs, 0) == determinant(
-                [[-x for x in row] for row in m]
-            )
+            assert charpoly(m)[-1] == determinant([[-x for x in row] for row in m])
 
 
 HALF = Fraction(1, 2)
@@ -262,3 +198,25 @@ class TestSolveCongruence:
         if det == 0 or abs(det) > 400:
             return
         assert len(solve_congruence(rows, [0, 0, 0, 0])) == abs(det)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**30))
+    def test_solutions_solve_the_system_and_survive_unimodular_rows(self, seed):
+        rng = random.Random(seed)
+        det = 0
+        while not 0 < abs(det) <= 400:
+            a = tuple(tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(4))
+            det = determinant(a)
+        b = [
+            Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 12)))
+            for _ in range(4)
+        ]
+        sols = solve_congruence(a, b)
+        assert len(sols) == abs(det)
+        for x in sols:
+            assert all(0 <= coord < 1 for coord in x)
+            residue = [sum(c * v for c, v in zip(row, x)) - bi for row, bi in zip(a, b)]
+            assert all(r.denominator == 1 for r in residue)
+        u = random_unimodular(rng)
+        ub = [sum(c * bi for c, bi in zip(row, b)) for row in u]
+        assert solve_congruence(mat_mul(u, a), ub) == sols

@@ -366,6 +366,11 @@ def reference_closure(generators, cap=DEFAULT_CAP):
     return sorted(elements)
 
 
+def elementary(i, j, k):
+    """I + k e_ij; its inverse is elementary(i, j, -k)."""
+    return tuple(tuple(int(r == c) + k * (r == i and c == j) for c in range(4)) for r in range(4))
+
+
 def random_change(rng, steps=6, bound=2, denominator=12):
     """(P, P^-1, s): P a product of ``steps`` elementary matrices with
     multipliers 0 < |k| <= bound, s in (1/denominator) Z^4."""
@@ -373,9 +378,7 @@ def random_change(rng, steps=6, bound=2, denominator=12):
     for _ in range(steps):
         i, j = rng.sample(range(4), 2)
         k = rng.choice([x for x in range(-bound, bound + 1) if x])
-        e = tuple(tuple(int(r == c) + k * (r == i and c == j) for c in range(4)) for r in range(4))
-        e_inv = tuple(tuple(int(r == c) - k * (r == i and c == j) for c in range(4)) for r in range(4))
-        p, p_inv = _mul4(p, e), _mul4(e_inv, p_inv)
+        p, p_inv = _mul4(p, elementary(i, j, k)), _mul4(elementary(i, j, -k), p_inv)
     s = tuple(Fraction(rng.randrange(denominator), denominator) for _ in range(4))
     return p, p_inv, s
 
@@ -444,3 +447,23 @@ class TestClosureAndConjugation:
             with pytest.raises(ActionValidationError, match="cap"):
                 close_group([generator])
             assert perf_counter() - start < 0.5
+
+    def test_wide_change_of_coordinates_stays_fast(self):
+        # Cost follows the size of the input in bits: conjugating by a P
+        # whose entries run to about 800 bits leaves the quotient unchanged
+        # and costs milliseconds.
+        rng = random.Random(800)
+        p, p_inv = ID4, ID4
+        for step in range(8):
+            i, j = step % 4, (step + 1) % 4
+            k = rng.getrandbits(100) | 1 << 99
+            p, p_inv = _mul4(p, elementary(i, j, k)), _mul4(elementary(i, j, -k), p_inv)
+        assert max(abs(x).bit_length() for row in p for x in row) >= 790
+        s = tuple(Fraction(rng.randrange(12), 12) for _ in range(4))
+        generators = [
+            conjugate(g, (p, p_inv, s)) for g in builtin_action("bt24-shifted").generators
+        ]
+        start = perf_counter()
+        report = quotient_singularities(close_group(generators))
+        assert perf_counter() - start < 0.5
+        assert report.multiset == BUILTIN_EXPECTED["bt24-shifted"]
