@@ -224,24 +224,85 @@ def write_csv(verdicts: Sequence[RecordVerdict], out: TextIO) -> None:
         )
 
 
-def verdicts_as_json(
-    summary: CensusSummary, verdicts: Sequence[RecordVerdict]
-) -> dict:
-    return {
-        "summary": {
-            "total": summary.total,
-            "not_smooth_codim2": summary.not_smooth_codim2,
-            "not_smooth_codim2_and_no_edge": summary.not_smooth_codim2_and_no_edge,
-            "failures": [
-                {"line": line, "reason": reason} for line, reason in summary.failures
-            ],
-        },
-        "records": [vars(v) for v in verdicts],
-    }
+def _json_array(items: Sequence[str], indent: str) -> str:
+    """Already encoded items as a JSON array laid out by ``json.dump`` with
+    ``indent=2``, for an array that opens on a line indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+_RECORD = """{
+      "calabi_yau": %s,
+      "contains_no_edge": %s,
+      "degree": %d,
+      "line": %d,
+      "origin": %s,
+      "quasismooth": %s,
+      "singular_curve_types": %s,
+      "smooth_in_codim2": %s,
+      "weights": %s,
+      "wellformed": %s
+    }"""
+
+_FAILURE = """{
+        "line": %d,
+        "reason": %s
+      }"""
+
+_SUMMARY = """,
+  "summary": {
+    "failures": %s,
+    "not_smooth_codim2": %d,
+    "not_smooth_codim2_and_no_edge": %d,
+    "total": %d
+  }
+}
+"""
 
 
 def write_json(
     summary: CensusSummary, verdicts: Sequence[RecordVerdict], out: TextIO
 ) -> None:
-    json.dump(verdicts_as_json(summary, verdicts), out, sort_keys=True, indent=2)
-    out.write("\n")
+    """The census as ``{"records": [...], "summary": {...}}``, in exactly the
+    layout of ``json.dump(..., sort_keys=True, indent=2)`` plus a newline.
+
+    Each record is filled into one template and written as it is made:
+    booleans through ``_BOOL``, integers through ``%d`` and strings through
+    ``json.dumps``, which escapes a lone string in C, where ``indent`` would
+    send the whole document through the pure-Python encoder.
+    """
+    out.write('{\n  "records": ')
+    separator = "[\n    "
+    for v in verdicts:
+        out.write(separator)
+        out.write(
+            _RECORD
+            % (
+                _BOOL[v.calabi_yau],
+                _BOOL[v.contains_no_edge],
+                v.degree,
+                v.line,
+                json.dumps(v.origin),
+                _BOOL[v.quasismooth],
+                _json_array([json.dumps(t) for t in v.singular_curve_types], "      "),
+                _BOOL[v.smooth_in_codim2],
+                _json_array([str(w) for w in v.weights], "      "),
+                _BOOL[v.wellformed],
+            )
+        )
+        separator = ",\n    "
+    out.write("\n  ]" if verdicts else "[]")
+    failures = [
+        _FAILURE % (line, json.dumps(reason)) for line, reason in summary.failures
+    ]
+    out.write(
+        _SUMMARY
+        % (
+            _json_array(failures, "    "),
+            summary.not_smooth_codim2,
+            summary.not_smooth_codim2_and_no_edge,
+            summary.total,
+        )
+    )

@@ -110,17 +110,46 @@ def is_quasismooth(ws: WeightSystem) -> bool:
     The criterion holds for any number of weights.  Condition (3) is tested
     on the 3-subsets only: a weight added to a set keeps every sum the set
     partitions, so a 3-subset that partitions d makes each of its supersets
-    partition d too.
+    partition d too.  For the same reason a 3-subset one of whose pairs
+    partitions d partitions d (the third weight taken zero times), so the
+    general three-part test runs only when no pair does.  Condition (2)
+    asks for two indices, so a pair's count stops at its second hit.
     """
     d, w = ws.degree, ws.weights
+    targets = [d - wj for wj in w]
     for wi in w:
-        if all((d - wj) % wi != 0 for wj in w):
+        if all(t % wi for t in targets):
             return False
     for a, b in combinations(w, 2):
-        hits = sum(1 for wj in w if is_pair_partitionable(d - wj, a, b))
-        if hits < 2:
+        hits = 0
+        for t in targets:
+            if is_pair_partitionable(t, a, b):
+                hits += 1
+                if hits == 2:
+                    break
+        else:
             return False
-    return all(is_partitionable(d, triple) for triple in combinations(w, 3))
+    for a, b, c in combinations(w, 3):
+        if not (
+            is_pair_partitionable(d, a, b)
+            or is_pair_partitionable(d, a, c)
+            or is_pair_partitionable(d, b, c)
+            or is_partitionable(d, (a, b, c))
+        ):
+            return False
+    return True
+
+
+# (free, zeroed) coordinate indices of the ten edges, in lex order of the
+# free coordinates, and of the ten two-faces, in lex order of the zeroed ones
+_EDGES = tuple(
+    (free, tuple(i for i in range(5) if i not in free))
+    for free in combinations(range(5), 2)
+)
+_TWO_FACES = tuple(
+    (tuple(i for i in range(5) if i not in zeroed), zeroed)
+    for zeroed in combinations(range(5), 2)
+)
 
 
 def stratified_locus(ws: WeightSystem) -> SingularLocusReport:
@@ -135,22 +164,20 @@ def stratified_locus(ws: WeightSystem) -> SingularLocusReport:
     vertices = tuple(i for i in range(5) if w[i] > 1 and d % w[i] != 0)
     in_x = []
     point_loci = []
-    for free in combinations(range(5), 2):
-        zeroed = tuple(i for i in range(5) if i not in free)
-        pair = (w[free[0]], w[free[1]])
-        g = gcd(*pair)
-        if not is_pair_partitionable(d, *pair):
-            in_x.append(ContainedEdge(zeroed, pair, g > 1))
+    for (i, j), zeroed in _EDGES:
+        a, b = w[i], w[j]
+        g = gcd(a, b)
+        if not is_pair_partitionable(d, a, b):
+            in_x.append(ContainedEdge(zeroed, (a, b), g > 1))
         elif g > 1:
             point_loci.append(EdgePointLocus(zeroed, g))
     curves = []
-    for zeroed in combinations(range(5), 2):
-        free = [w[i] for i in range(5) if i not in zeroed]
-        m = gcd(gcd(free[0], free[1]), free[2])
+    for (i, j, k), zeroed in _TWO_FACES:
+        m = gcd(w[i], w[j], w[k])
         if m > 1:
-            i, j = zeroed
+            z0, z1 = zeroed
             curves.append(
-                SingularCurve(zeroed, CyclicQuotientType(m, (w[i] % m, w[j] % m)))
+                SingularCurve(zeroed, CyclicQuotientType(m, (w[z0] % m, w[z1] % m)))
             )
     return SingularLocusReport(
         singular_vertices=vertices,
@@ -162,7 +189,7 @@ def stratified_locus(ws: WeightSystem) -> SingularLocusReport:
 
 def contained_edges(ws: WeightSystem) -> tuple[ContainedEdge, ...]:
     """The edges of P lying entirely in X: those whose two free weights do
-    not partition d.  Deterministic (lex on zeroed coordinates) order."""
+    not partition d.  Deterministic (lex on free coordinates) order."""
     return stratified_locus(ws).contained_edges
 
 

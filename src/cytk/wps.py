@@ -5,14 +5,9 @@ n >= 3 weights."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from math import gcd
-from typing import Iterator, Optional, Union
-
-
-def _gcd_all(values) -> int:
-    return reduce(gcd, values)
+from typing import Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,7 @@ class WeightSystem:
             raise ValueError("a weight system needs at least three positive weights")
         if self.degree < max(weights):
             raise ValueError("degree must be at least the largest weight")
-        if _gcd_all(weights) != 1:
+        if gcd(*weights) != 1:
             raise ValueError("weights must be globally coprime")
 
     def __str__(self) -> str:
@@ -71,29 +66,43 @@ class Stratum:
         return tuple(i for i in range(5) if i not in self.zeroed)
 
 
+def _least_orbit_point(m: int, a: int, b: int) -> tuple[int, int]:
+    """The least (u*a mod m, u*b mod m) over the units u modulo m, for
+    0 <= a, b < m with gcd(a, b, m) = 1.
+
+    The least first coordinate is g = gcd(a, m) (0 when a = 0), reached by
+    the units u = u0 + k*n with n = m/g, u0 = (a/g)^-1 mod n and 0 <= k < g.
+    With u0*b mod m = c0 + n*c1, such a u sends b to c0 + n*((c1 + k*b) mod g),
+    and b is a unit modulo g, so the second coordinate c0 + n*t is reached by
+    k = (t - c1) * b^-1 mod g.  Walking t up from 0, only the primes of g can
+    make u0 + k*n a non-unit, each for one residue class of t, so the first
+    unit comes after a few steps.
+    """
+    g = gcd(a, m)
+    n = m // g
+    u0 = pow(a // g, -1, n)
+    c1, c0 = divmod(u0 * b % m, n)
+    b_inv = pow(b, -1, g)
+    t = 0
+    while gcd(u0 + (t - c1) * b_inv % g * n, m) != 1:
+        t += 1
+    return g % m, c0 + n * t
+
+
 def _canonical_quotient(order: int, a: int, b: int) -> tuple[int, tuple[int, int]]:
     """Reduce 1/m(a, b) to a faithful action and pick the lexicographically
     minimal representative under coordinate swap and generator rescaling."""
     m = order
     a %= m
     b %= m
-    g = _gcd_all((a, b, m))
+    g = gcd(a, b, m)
     if g > 1:
         m //= g
         a = (a // g) % m
         b = (b // g) % m
     if m < 2:
         raise ValueError("quotient order must be at least 2")
-    best: Optional[tuple[int, int]] = None
-    for u in range(1, m):
-        if gcd(u, m) != 1:
-            continue
-        ua, ub = u * a % m, u * b % m
-        for cand in ((ua, ub), (ub, ua)):
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return m, best
+    return m, min(_least_orbit_point(m, a, b), _least_orbit_point(m, b, a))
 
 
 @dataclass(frozen=True)
@@ -102,7 +111,9 @@ class CyclicQuotientType:
 
     Instances are stored in canonical form: (a, b) is the lexicographically
     minimal pair among swaps and unit rescalings of the generator, so that
-    e.g. 1/3(2, 1) and 1/3(1, 2) compare equal.
+    e.g. 1/3(2, 1) and 1/3(1, 2) compare equal.  The canonical form costs
+    two modular inverses per orientation and a walk of a few gcds, so it
+    grows with the bit size of m, not with m.
     """
 
     order: int
@@ -125,13 +136,12 @@ def is_wellformed_hypersurface(ws: WeightSystem) -> bool:
     """Degree/weight conditions under which adjunction computes the canonical
     class of the general hypersurface: any n - 1 of the n weights are
     coprime, and the gcd of any n - 2 weights divides the degree."""
-    w = ws.weights
-    n = len(w)
-    for i in range(n):
-        if _gcd_all([w[j] for j in range(n) if j != i]) != 1:
+    d, w = ws.degree, ws.weights
+    for i in range(len(w)):
+        if gcd(*w[:i], *w[i + 1 :]) != 1:
             return False
-    for pair in combinations(range(n), 2):
-        if ws.degree % _gcd_all([w[j] for j in range(n) if j not in pair]) != 0:
+    for i, j in combinations(range(len(w)), 2):
+        if d % gcd(*w[:i], *w[i + 1 : j], *w[j + 1 :]) != 0:
             return False
     return True
 
@@ -152,9 +162,9 @@ def stratum_singularity(ws: WeightSystem, stratum: Stratum) -> StratumSingularit
         weight = w[stratum.free[0]]
         return weight if weight > 1 else None
     if stratum.kind == "edge":
-        m = _gcd_all([w[i] for i in stratum.free])
+        m = gcd(*(w[i] for i in stratum.free))
         return m if m > 1 else None
-    m = _gcd_all([w[i] for i in stratum.free])
+    m = gcd(*(w[i] for i in stratum.free))
     if m == 1:
         return None
     i, j = stratum.zeroed

@@ -9,13 +9,14 @@ import pytest
 from cytk.census import (
     N3,
     N4,
+    CensusSummary,
     NormalizedRecord,
     census_lines,
     format_record,
     parse_database,
     run_census,
-    verdicts_as_json,
     write_csv,
+    write_json,
 )
 from cytk.wps import WeightSystem
 
@@ -26,6 +27,24 @@ SAMPLE = [
     "5 1 1 1 1 1",
     "120 3 7 20 40 50",
     "1734 91 96 102 578",
+]
+
+# one line per failure reason, with the reasons the census gives it
+FAILURE_CASES = [
+    ("junk line", ["no degree/weight integers found"]),
+    ("7", ["no degree/weight integers found"]),
+    ("0 1 1 1 1 1", ["degree and weights must be positive"]),
+    ("5 -1 1 1 1 1", ["degree and weights must be positive"]),
+    ("5 1 1", ["expected 4 or 5 weights, got 2"]),
+    ("8 1 1 1 1 1 1 1", ["expected 4 or 5 weights, got 7"]),
+    ("9 1 1 3 4", ["4-weight record with odd degree"]),
+    ("10 1 2 2 5", ["4-weight record already contains d/2"]),
+    ("8 1 1 1 2", ["degree 8 is not the weight sum 9"]),
+    ("9 1 1 3 3 7", ["degree 9 is not the weight sum 15"]),
+    ("10 2 2 2 2 2", ["weights must be globally coprime"]),
+    ("16 2 2 2 2", ["weights must be globally coprime"]),
+    ("9 1 1 1 1 5", ["not quasismooth"]),
+    ("14 1 1 4 4 4", ["not quasismooth", "not wellformed"]),
 ]
 
 
@@ -118,25 +137,7 @@ class TestRecordFormat:
         for r in records:
             assert format_record(r.ws.degree, r.ws.weights) == lines[r.source_line - 1]
 
-    @pytest.mark.parametrize(
-        "line, reasons",
-        [
-            ("junk line", ["no degree/weight integers found"]),
-            ("7", ["no degree/weight integers found"]),
-            ("0 1 1 1 1 1", ["degree and weights must be positive"]),
-            ("5 -1 1 1 1 1", ["degree and weights must be positive"]),
-            ("5 1 1", ["expected 4 or 5 weights, got 2"]),
-            ("8 1 1 1 1 1 1 1", ["expected 4 or 5 weights, got 7"]),
-            ("9 1 1 3 4", ["4-weight record with odd degree"]),
-            ("10 1 2 2 5", ["4-weight record already contains d/2"]),
-            ("8 1 1 1 2", ["degree 8 is not the weight sum 9"]),
-            ("9 1 1 3 3 7", ["degree 9 is not the weight sum 15"]),
-            ("10 2 2 2 2 2", ["weights must be globally coprime"]),
-            ("16 2 2 2 2", ["weights must be globally coprime"]),
-            ("9 1 1 1 1 5", ["not quasismooth"]),
-            ("14 1 1 4 4 4", ["not quasismooth", "not wellformed"]),
-        ],
-    )
+    @pytest.mark.parametrize("line, reasons", FAILURE_CASES)
     def test_census_failure_reasons(self, line, reasons):
         summary, verdicts = census_lines(["# header", line])
         assert summary.failures == tuple((2, reason) for reason in reasons)
@@ -222,9 +223,9 @@ class TestExports:
 
     def test_json_round_trip(self):
         summary, verdicts = run_census(normalized_sample())
-        document = verdicts_as_json(summary, verdicts)
-        text = json.dumps(document, sort_keys=True, indent=2)
-        assert json.dumps(json.loads(text), sort_keys=True, indent=2) == text
+        text = written_json(summary, verdicts)
+        document = json.loads(text)
+        assert json.dumps(document, sort_keys=True, indent=2) + "\n" == text
         assert document["summary"]["total"] == 3
 
     def test_verdict_values_match_module_predicates(self):
@@ -236,6 +237,68 @@ class TestExports:
             assert verdict.wellformed == is_wellformed_hypersurface(record.ws)
             assert verdict.quasismooth == hypersurface.is_quasismooth(record.ws)
             assert verdict.calabi_yau == hypersurface.is_calabi_yau_degree(record.ws)
+
+
+def written_json(summary, verdicts):
+    out = io.StringIO()
+    write_json(summary, verdicts, out)
+    return out.getvalue()
+
+
+def reference_json(summary, verdicts):
+    """The census document as the standard library's encoder writes it."""
+    document = {
+        "records": [vars(v) for v in verdicts],
+        "summary": {
+            "failures": [
+                {"line": line, "reason": reason} for line, reason in summary.failures
+            ],
+            "not_smooth_codim2": summary.not_smooth_codim2,
+            "not_smooth_codim2_and_no_edge": summary.not_smooth_codim2_and_no_edge,
+            "total": summary.total,
+        },
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+class TestWriteJson:
+    """write_json fills templates; its text must be the encoder's, byte for
+    byte."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ks_list(self, jobs):
+        lines = KS_LIST.read_text(encoding="utf-8").splitlines()
+        summary, verdicts = census_lines(lines, jobs=jobs)
+        assert written_json(summary, verdicts) == reference_json(summary, verdicts)
+
+    def test_every_failure_reason(self):
+        summary, verdicts = census_lines([line for line, _ in FAILURE_CASES])
+        reasons = {reason for _, reasons in FAILURE_CASES for reason in reasons}
+        assert {reason for _, reason in summary.failures} == reasons
+        assert written_json(summary, verdicts) == reference_json(summary, verdicts)
+
+    def test_empty_input(self):
+        summary, verdicts = census_lines([])
+        assert written_json(summary, verdicts) == reference_json(summary, verdicts)
+
+    def test_several_curve_types(self):
+        summary, verdicts = census_lines(["1734 91 96 102 578"])
+        assert len(verdicts[0].singular_curve_types) == 3
+        assert written_json(summary, verdicts) == reference_json(summary, verdicts)
+
+    def test_reason_needing_escapes(self):
+        summary = CensusSummary(
+            total=1,
+            not_smooth_codim2=1,
+            not_smooth_codim2_and_no_edge=0,
+            failures=((7, 'say "no"\\ then\tstop: \u00e9'),),
+        )
+        _, verdicts = census_lines(["120 3 7 20 40 50"])
+        text = written_json(summary, verdicts)
+        assert text == reference_json(summary, verdicts)
+        assert json.loads(text)["summary"]["failures"][0]["reason"] == (
+            'say "no"\\ then\tstop: \u00e9'
+        )
 
 
 class TestDatabase:

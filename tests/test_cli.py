@@ -57,6 +57,17 @@ class TestAnalyze:
         assert code == 0
         assert "quasismooth:       yes" in out
 
+    def test_large_quotient_order_is_fast(self, capsys):
+        # the canonical form of the curve type 1/10^7(1, 1) does not walk
+        # the units below 10^7
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "analyze", "30000002", "1", "1", "10000000", "10000000", "10000000"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert "singular curve zeroed=[0, 1] of type 1/10000000(1,1)" in out
+
     def test_invalid_weights_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "10", "2", "2", "2", "2", "2")
         assert code == 2

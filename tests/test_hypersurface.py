@@ -51,6 +51,12 @@ class TestQuasismooth:
         # no weight w_j with 7 | 9 - w_j
         assert not is_quasismooth(WeightSystem(9, (1, 1, 3, 3, 7)))
 
+    def test_triple_that_needs_all_three_weights(self):
+        # no pair of 4, 6, 11 partitions 25, but 4 + 4 + 6 + 11 does
+        ws = WeightSystem(25, (1, 3, 4, 6, 11))
+        assert is_quasismooth(ws)
+        assert reference_is_quasismooth(ws)
+
 
 class TestWeightCount:
     def test_three_weight_criteria(self):
@@ -178,15 +184,16 @@ def reference_sums(parts, limit):
 def reference_is_quasismooth(ws):
     """The criterion with every subset of three or more weights tested."""
     d, w = ws.degree, ws.weights
-    for i in range(5):
-        if all((d - w[j]) % w[i] != 0 for j in range(5)):
+    n = len(w)
+    for i in range(n):
+        if all((d - w[j]) % w[i] != 0 for j in range(n)):
             return False
-    for i1, i2 in combinations(range(5), 2):
+    for i1, i2 in combinations(range(n), 2):
         reach = reference_sums((w[i1], w[i2]), d)
-        if sum(1 for j in range(5) if reach >> (d - w[j]) & 1) < 2:
+        if sum(1 for j in range(n) if reach >> (d - w[j]) & 1) < 2:
             return False
-    for size in (3, 4, 5):
-        for idx in combinations(range(5), size):
+    for size in range(3, n + 1):
+        for idx in combinations(range(n), size):
             if not reference_sums([w[i] for i in idx], d) >> d & 1:
                 return False
     return True
@@ -215,8 +222,8 @@ def reference_locus(ws):
 
 
 @st.composite
-def weight_systems(draw):
-    """Globally coprime weights with d = sum of weights, with an unrelated
+def weight_systems(draw, n=5):
+    """n globally coprime weights with d = sum of weights, with an unrelated
     degree, or built so that condition (1) of the criterion holds (each
     weight a divisor of d or of d minus an earlier weight), which leaves
     the pair and triple conditions to decide."""
@@ -224,7 +231,7 @@ def weight_systems(draw):
     if kind == "divisors":
         degree = draw(st.integers(min_value=2, max_value=400))
         weights = []
-        for _ in range(5):
+        for _ in range(n):
             base = degree
             if weights and draw(st.booleans()):
                 base -= draw(st.sampled_from(weights))
@@ -232,7 +239,7 @@ def weight_systems(draw):
             weights.append(draw(st.sampled_from(divisors or [1])))
     else:
         weights = draw(
-            st.lists(st.integers(min_value=1, max_value=40), min_size=5, max_size=5)
+            st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n)
         )
         if kind == "sum":
             degree = sum(weights)
@@ -253,6 +260,11 @@ class TestAgainstAllSubsetsReference:
         for ws in (X1734, X120, X56, X7, QUINTIC, WeightSystem(9, (1, 1, 3, 3, 7))):
             assert is_quasismooth(ws) == reference_is_quasismooth(ws)
             assert stratified_locus(ws) == reference_locus(ws)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))
+    def test_any_number_of_weights(self, ws):
+        assert is_quasismooth(ws) == reference_is_quasismooth(ws)
 
 
 def test_huge_degree_is_fast():

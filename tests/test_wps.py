@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +69,53 @@ class TestCyclicQuotientType:
         with pytest.raises(ValueError):
             CyclicQuotientType(1, (0, 0))
 
+    def test_matches_unit_loop_for_small_orders(self):
+        for order in range(1, 61):
+            for a in range(order):
+                for b in range(order):
+                    try:
+                        expected = reference_canonical_quotient(order, a, b)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            CyclicQuotientType(order, (a, b))
+                        continue
+                    q = CyclicQuotientType(order, (a, b))
+                    assert (q.order, q.local_weights) == expected
+
+    def test_large_orders(self):
+        q = CyclicQuotientType(10**12, (1, 10**12 - 1))
+        assert q.local_weights == (1, 10**12 - 1)
+        q = CyclicQuotientType(10**12, (3 * 10**6 + 7, 5))
+        assert q.order == 10**12 and q.local_weights[0] == 1
+        primorial = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+        assert CyclicQuotientType(primorial, (primorial // 37, 1)) == (
+            CyclicQuotientType(primorial, (1, primorial // 37))
+        )
+
+
+def reference_canonical_quotient(order, a, b):
+    """The canonical form by trying every unit u < m: the implementation
+    the closed form replaced."""
+    m = order
+    a %= m
+    b %= m
+    g = gcd(gcd(a, b), m)
+    if g > 1:
+        m //= g
+        a = (a // g) % m
+        b = (b // g) % m
+    if m < 2:
+        raise ValueError("quotient order must be at least 2")
+    best = None
+    for u in range(1, m):
+        if gcd(u, m) != 1:
+            continue
+        ua, ub = u * a % m, u * b % m
+        for cand in ((ua, ub), (ub, ua)):
+            if best is None or cand < best:
+                best = cand
+    return m, best
+
 
 class TestWellformed:
     def test_worked_examples_are_wellformed(self):
@@ -75,6 +125,21 @@ class TestWellformed:
 
     def test_common_factor_in_four_weights_fails(self):
         assert not is_wellformed_hypersurface(WeightSystem(10, (1, 2, 2, 2, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.integers(min_value=1, max_value=36), min_size=3, max_size=6),
+        extra=st.integers(min_value=0, max_value=72),
+    )
+    def test_matches_definition(self, weights, extra):
+        if gcd(*weights) > 1:
+            weights[0] = 1
+        ws = WeightSystem(max(weights) + extra, tuple(weights))
+        n = len(weights)
+        expected = all(
+            gcd(*sub) == 1 for sub in combinations(weights, n - 1)
+        ) and all(ws.degree % gcd(*sub) == 0 for sub in combinations(weights, n - 2))
+        assert is_wellformed_hypersurface(ws) == expected
 
 
 class TestStratumSingularity:
