@@ -1,8 +1,8 @@
 """Exact integer and rational primitives shared by the geometry modules.
 
-Partition feasibility, integer determinants, characteristic polynomials
-and linear congruences modulo the integer lattice.  Everything is exact;
-no floating point is used anywhere.
+Partition feasibility, integer determinants and linear congruences
+modulo the integer lattice.  Everything is exact; no floating point is
+used anywhere.
 
 A partition query costs O(1) big-integer operations for two parts.  For
 three or more parts it tries the multiples of the largest part up to its
@@ -100,30 +100,6 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def charpoly(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficients ``(1, c1, ..., cn)`` of ``det(x*I - A)``, highest degree
-    first, via the Faddeev-LeVerrier recursion (exact for integer input)."""
-    m = _as_matrix(a)
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix must be square")
-    coeffs = [1]
-    work = [[0] * n for _ in range(n)]  # starts as the zero matrix
-    for k in range(1, n + 1):
-        # work <- A * (work + c_{k-1} * I)
-        shifted = [row[:] for row in work]
-        for i in range(n):
-            shifted[i][i] += coeffs[-1]
-        work = [
-            [sum(m[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(work[i][i] for i in range(n))
-        assert trace % k == 0
-        coeffs.append(-trace // k)
-    return tuple(coeffs)
 
 
 def solve_congruence(

@@ -8,13 +8,14 @@ no non-trivial translations, at most one involution, and linear parts whose
 characteristic polynomial is the realification of an SL(2,C) element of the
 right order.  The complex structure itself is never represented.
 
-Translations and points are tuples of Fraction at the interface, but a
-product or a point image computes M v + t mod Z^4 on integer numerators
-over one common denominator, the lcm of those of v and t, and builds one
-Fraction per output coordinate.  No Fraction arithmetic runs inside the
-closure loop.  Fixed points are solved the same way: ``arith.solve_congruence``
-works on integer numerators over one common denominator and builds a
-Fraction only for each coordinate of a solution.
+Translations and points are tuples of Fraction at the interface only.  An
+action works over one denominator D, the lcm of its generators' translation
+denominators: an integral M maps (1/D) Z^4 into itself, so every element is
+a pair (M, numerators of t over D) of integer tuples.  The closure, the
+order walk and the orbits run on those tuples; a Fraction is built for each
+element's translation once the group is closed, and for each orbit's
+representative.  Fixed points come from ``arith.solve_congruence``, which
+works on integer numerators over one common denominator too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from cytk.arith import (
     InfiniteSolutionsError,
     NoSolutionError,
-    charpoly,
     determinant,
     solve_congruence,
 )
@@ -36,18 +36,24 @@ from cytk.surface import REALIZED, DuValMultiset, DuValType
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Point = tuple[Fraction, Fraction, Fraction, Fraction]
+# Numerators of a translation or a point over its action's denominator.
+Numerators = tuple[int, ...]
 
 DEFAULT_CAP = 48
 ALLOWED_ORDERS = frozenset({1, 2, 3, 4, 6})
 
-# Realifications of SL(2,C) elements of each finite order: these are the
-# only characteristic polynomials a canonical linear part may have.
-_CANONICAL_CHARPOLY = {
-    1: (1, -4, 6, -4, 1),  # (x-1)^4
-    2: (1, 4, 6, 4, 1),  # (x+1)^4
-    3: (1, 2, 3, 2, 1),  # (x^2+x+1)^2
-    4: (1, 0, 2, 0, 1),  # (x^2+1)^2
-    6: (1, -2, 3, -2, 1),  # (x^2-x+1)^2
+# The realifications of SL(2,C) elements of each finite order, (x-1)^4,
+# (x+1)^4, (x^2+x+1)^2, (x^2+1)^2 and (x^2-x+1)^2, are the only
+# characteristic polynomials a canonical linear part may have.  Over Q a
+# quartic characteristic polynomial and the power sums (tr M, tr M^2,
+# tr M^3, tr M^4) determine each other by Newton's identities, so the
+# power sums are what is compared.
+_CANONICAL_POWER_SUMS = {
+    1: (4, 4, 4, 4),
+    2: (-4, 4, -4, 4),
+    3: (-2, -2, 4, -2),
+    4: (0, -4, 0, 4),
+    6: (2, -2, -4, -2),
 }
 
 
@@ -60,26 +66,70 @@ _ZERO: Point = (Fraction(0),) * 4
 
 
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    columns = tuple(zip(*b))
+    (
+        (b00, b01, b02, b03),
+        (b10, b11, b12, b13),
+        (b20, b21, b22, b23),
+        (b30, b31, b32, b33),
+    ) = b
     return tuple(
-        tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in columns)
+        (
+            r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30,
+            r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
+            r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32,
+            r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33,
+        )
         for r0, r1, r2, r3 in a
     )
 
 
-def _affine_image(linear: IntMatrix, shift: Point, vector: Sequence[Fraction]) -> Point:
-    """M v + t mod Z^4, in integer numerators over the lcm of the
-    denominators of v and t."""
-    den = lcm(*(x.denominator for x in shift), *(x.denominator for x in vector))
-    v0, v1, v2, v3 = [x.numerator * (den // x.denominator) for x in vector]
-    return tuple(
-        Fraction(
-            (r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + t.numerator * (den // t.denominator))
-            % den,
-            den,
-        )
-        for (r0, r1, r2, r3), t in zip(linear, shift)
+def _numerators(values: Iterable[Fraction], den: int) -> Numerators:
+    """The numerators of ``values`` over ``den``, a multiple of their
+    denominators."""
+    return tuple(x.numerator * (den // x.denominator) for x in values)
+
+
+def _image(
+    linear: IntMatrix, shift: Numerators, vector: Numerators, den: int
+) -> Numerators:
+    """M v + t mod Z^4, with v and t given by their numerators over den."""
+    (
+        (a0, a1, a2, a3),
+        (b0, b1, b2, b3),
+        (c0, c1, c2, c3),
+        (d0, d1, d2, d3),
+    ) = linear
+    t0, t1, t2, t3 = shift
+    v0, v1, v2, v3 = vector
+    return (
+        (a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 + t0) % den,
+        (b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + t1) % den,
+        (c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + t2) % den,
+        (d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3 + t3) % den,
     )
+
+
+def _power_traces(
+    linear: IntMatrix, shift: Numerators, den: int, cap: int
+) -> Optional[list[int]]:
+    """The traces of M, M^2, ..., M^n for g = (M, t) of order n <= cap, t
+    given by its numerators over den; None when g has no order <= cap."""
+    power, power_shift = linear, shift
+    traces = []
+    while len(traces) < cap:
+        traces.append(power[0][0] + power[1][1] + power[2][2] + power[3][3])
+        if power == _IDENTITY and not any(power_shift):
+            return traces
+        power_shift = _image(power, power_shift, shift, den)
+        power = _mat_mul(power, linear)
+    return None
+
+
+def _affine_image(linear: IntMatrix, shift: Point, vector: Sequence[Fraction]) -> Point:
+    """M v + t mod Z^4, over the lcm of the denominators of v and t."""
+    den = lcm(*(x.denominator for x in shift), *(x.denominator for x in vector))
+    image = _image(linear, _numerators(shift, den), _numerators(vector, den), den)
+    return tuple(Fraction(x, den) for x in image)
 
 
 @dataclass(frozen=True)
@@ -119,10 +169,6 @@ class AffineTorusMap:
     def is_identity(self) -> bool:
         return self.linear == _IDENTITY and not any(self.translation)
 
-    @property
-    def is_translation(self) -> bool:
-        return self.linear == _IDENTITY
-
     def __mul__(self, other: "AffineTorusMap") -> "AffineTorusMap":
         """Composition self o other: (M1, t1)(M2, t2) = (M1 M2, M1 t2 + t1).
         |det(M1 M2)| = 1 and the translation comes out reduced, so the
@@ -136,12 +182,12 @@ class AffineTorusMap:
         return _affine_image(self.linear, self.translation, point)
 
     def order(self, cap: int = DEFAULT_CAP) -> int:
-        power = self
-        for n in range(1, cap + 1):
-            if power.is_identity:
-                return n
-            power = power * self
-        raise ActionValidationError(f"element order exceeds {cap}")
+        den = lcm(*(t.denominator for t in self.translation))
+        shift = _numerators(self.translation, den)
+        traces = _power_traces(self.linear, shift, den, cap)
+        if traces is None:
+            raise ActionValidationError(f"element order exceeds {cap}")
+        return len(traces)
 
 
 def fixed_points(g: AffineTorusMap) -> frozenset[Point]:
@@ -188,8 +234,10 @@ def close_group(
     is multiplied on the right by each generator once.  A group G thus
     costs |G|*|gens| products, an element reached by a word of length k has
     entries of bit size O(k), and an infinite group is rejected after at
-    most (cap + 1)*|gens| products.  Each element's order is then computed
-    once and kept on the action.
+    most (cap + 1)*|gens| products.  Each element's order is then found by
+    walking its powers, once, and kept on the action; the walk's traces
+    give the power sums that identify the characteristic polynomial.  All
+    of it runs on integer tuples over the generators' common denominator.
 
     Raises ActionValidationError when the closure exceeds ``cap`` elements,
     contains several involutions, contains a non-trivial translation, has an
@@ -197,38 +245,51 @@ def close_group(
     the realification of an SL(2,C) element of matching order.
     """
     generators = tuple(generators)
-    identity = AffineTorusMap.identity()
+    den = lcm(*(t.denominator for g in generators for t in g.translation))
+    steps = [(g.linear, _numerators(g.translation, den)) for g in generators]
+    identity = (_IDENTITY, (0, 0, 0, 0))
     elements = {identity}
     queue = [identity]
-    for g in queue:
-        for generator in generators:
-            product = g * generator
+    for linear, shift in queue:
+        for step, step_shift in steps:
+            product = (_mat_mul(linear, step), _image(linear, shift, step_shift, den))
             if product not in elements:
                 elements.add(product)
                 if len(elements) > cap:
                     raise ActionValidationError(f"not finite within cap {cap}")
                 queue.append(product)
 
-    ordered = tuple(sorted(elements, key=lambda g: (g.linear, g.translation)))
+    # Numerators over one denominator sort as the fractions they stand for.
+    ordered = sorted(elements)
     # In a finite group every order is at most |G|, and the involutions
     # are exactly the elements of order 2.
-    orders = tuple(g.order(cap=len(ordered)) for g in ordered)
+    walks = [
+        _power_traces(linear, shift, den, len(ordered)) for linear, shift in ordered
+    ]
+    orders = tuple(map(len, walks))
     involutions = orders.count(2)
     if involutions > 1:
         raise ActionValidationError(f"multiple involutions ({involutions})")
-    for g in ordered:
-        if g.is_translation and not g.is_identity:
+    for linear, shift in ordered:
+        if linear == _IDENTITY and any(shift):
             raise ActionValidationError("contains nontrivial translation")
-    for g, n in zip(ordered, orders):
+    for traces, n in zip(walks, orders):
         if n not in ALLOWED_ORDERS:
             raise ActionValidationError(f"element of forbidden order {n}")
-        if charpoly(g.linear) != _CANONICAL_CHARPOLY[n]:
+        # M^n = I, so tr M^k = tr M^((k-1) mod n + 1).
+        if tuple(traces[k % n] for k in range(4)) != _CANONICAL_POWER_SUMS[n]:
             raise ActionValidationError(
                 f"linear part of an order-{n} element is not an SL(2,C) "
                 "realification"
             )
     return TorusAction(
-        label=label, generators=generators, elements=ordered, orders=orders
+        label=label,
+        generators=generators,
+        elements=tuple(
+            AffineTorusMap._trusted(linear, tuple(Fraction(x, den) for x in shift))
+            for linear, shift in ordered
+        ),
+        orders=orders,
     )
 
 
@@ -281,18 +342,26 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
 
     Only the elements of prime order are solved for: a fixed point of g is
     fixed by every power of g, and each non-identity element has a power
-    of order 2 or 3."""
-    points: set[Point] = set()
-    for g, n in zip(action.elements, action.orders):
-        if n in (2, 3):
-            points.update(fixed_points(g))
+    of order 2 or 3.
+
+    Points and translations are written over one common denominator, so
+    orbits, stabilizers and representatives are found on integer tuples."""
+    solved = [
+        fixed_points(g) for g, n in zip(action.elements, action.orders) if n in (2, 3)
+    ]
+    den = lcm(
+        *(t.denominator for g in action.elements for t in g.translation),
+        *(x.denominator for points in solved for point in points for x in point),
+    )
+    elements = [(g.linear, _numerators(g.translation, den)) for g in action.elements]
+    points = {_numerators(point, den) for points in solved for point in points}
 
     orbits: list[Orbit] = []
-    seen: set[Point] = set()
+    seen: set[Numerators] = set()
     for point in sorted(points):
         if point in seen:
             continue
-        images = [g.apply(point) for g in action.elements]
+        images = [_image(linear, shift, point, den) for linear, shift in elements]
         orbit = set(images)
         seen.update(orbit)
         stabilizer = [n for image, n in zip(images, action.orders) if image == point]
@@ -301,7 +370,7 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
         name, du_val = _classify_stabilizer(stabilizer)
         orbits.append(
             Orbit(
-                representative=min(orbit),
+                representative=tuple(Fraction(x, den) for x in min(orbit)),
                 size=len(orbit),
                 stabilizer_order=len(stabilizer),
                 stabilizer_class=name,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cytk.arith import (
     InfiniteSolutionsError,
     NoSolutionError,
-    charpoly,
     determinant,
     is_pair_partitionable,
     is_partitionable,
@@ -126,17 +125,6 @@ class TestDeterminantAndCharpoly:
         assert determinant([[2, 1], [0, 2]]) == 4
         assert determinant([[0, 1], [1, 0]]) == -1
         assert determinant([[1, 2], [2, 4]]) == 0
-
-    def test_charpoly_of_companion(self):
-        # companion matrix of x^2 + x + 1, doubled
-        m = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, -1]]
-        assert charpoly(m) == (1, 2, 3, 2, 1)
-
-    def test_charpoly_matches_determinant(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            m = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-            assert charpoly(m)[-1] == determinant([[-x for x in row] for row in m])
 
 
 HALF = Fraction(1, 2)

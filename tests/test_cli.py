@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,10 @@ KUMMER_ACTION = {
         }
     ],
 }
+
+
+# Reports of the builtin actions, text and --json, one file each.
+TORUS_GOLDEN = Path(__file__).resolve().parent / "data" / "torus"
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +236,14 @@ class TestTorusQuotient:
         code, out, _ = run_cli(capsys, "torus-quotient", "--builtin", "bt24-linear")
         assert code == 0
         assert "quotient singularities: E6+D4+4A2+A1" in out
+
+    @pytest.mark.parametrize("name", list(torusq.BUILTIN_EXPECTED))
+    @pytest.mark.parametrize("form", ["txt", "json"])
+    def test_builtin_report_is_golden(self, capsys, name, form):
+        argv = ["torus-quotient", "--builtin", name] + (["--json"] if form == "json" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (TORUS_GOLDEN / f"{name}.{form}").read_bytes()
 
     def test_list_builtins(self, capsys):
         code, out, _ = run_cli(capsys, "torus-quotient", "--list-builtins")

@@ -4,6 +4,8 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cytk.arith import InfiniteSolutionsError, determinant
 from cytk.surface import DuValMultiset, orbifold_c2
@@ -13,7 +15,11 @@ from cytk.torusq import (
     _L8_C,
     _L8_SHIFT_B,
     _L8_SHIFT_C,
+    _CANONICAL_POWER_SUMS,
+    _MUL_I,
+    _MUL_W,
     _SWAP,
+    _block_diag,
     BUILTIN_EXPECTED,
     DEFAULT_CAP,
     ActionValidationError,
@@ -58,6 +64,14 @@ class TestAffineTorusMap:
     def test_order(self):
         assert minus_identity().order() == 2
         assert AffineTorusMap.identity().order() == 1
+        # The translation counts: x -> x + 1/2 has order 2, and
+        # x -> -x + 1/3 is still an involution.
+        assert AffineTorusMap(ID4, (HALF, 0, 0, 0)).order() == 2
+        assert minus_identity((Fraction(1, 3), 0, 0, 0)).order() == 2
+        shift = AffineTorusMap(ID4, (Fraction(1, 5), 0, 0, 0))
+        assert shift.order() == 5
+        with pytest.raises(ActionValidationError, match="element order exceeds 4"):
+            shift.order(cap=4)
 
 
 class TestFixedPoints:
@@ -144,10 +158,50 @@ class TestCloseGroup:
             close_group([AffineTorusMap(tuple(tuple(r) for r in m), ZERO4)])
 
     def test_noncanonical_order_three_rejected(self):
-        # order 3 but with an eigenvalue-1 plane: fixes a curve on the torus
-        m = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        with pytest.raises(ActionValidationError, match="realification"):
-            close_group([AffineTorusMap(tuple(tuple(r) for r in m), ZERO4)])
+        # Finite orders with an eigenvalue-1 plane: each fixes a curve on
+        # the torus.  Order 3 first, then orders 2, 4 and 6.
+        order_three = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        diagonal = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+        plane_identity = [[1, 0], [0, 1]]
+        for m in (
+            order_three,
+            diagonal,
+            _block_diag(_MUL_I, plane_identity),
+            _block_diag(_MUL_W, plane_identity),
+        ):
+            with pytest.raises(ActionValidationError, match="realification"):
+                close_group([AffineTorusMap(tuple(tuple(r) for r in m), ZERO4)])
+
+    def test_power_sums_follow_from_realifications(self):
+        # (x-1)^4, (x+1)^4, (x^2+x+1)^2, (x^2+1)^2, (x^2-x+1)^2, highest
+        # degree first; Newton's identities give p_k = tr M^k from the
+        # elementary symmetric functions e_k = (-1)^k c_k.
+        factors = {1: (1, -1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
+
+        def poly_mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def power_sums(coeffs):
+            e = [(-1) ** k * c for k, c in enumerate(coeffs)]
+            p = [None]
+            for k in range(1, 5):
+                p.append(
+                    sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, k))
+                    + (-1) ** (k - 1) * k * e[k]
+                )
+            return tuple(p[1:])
+
+        derived = {}
+        for n, factor in factors.items():
+            poly = [1]
+            while len(poly) < 5:
+                poly = poly_mul(poly, factor)
+            derived[n] = power_sums(poly)
+        assert derived == _CANONICAL_POWER_SUMS
 
     def test_bd8_presentation(self):
         a = AffineTorusMap(tuple(tuple(r) for r in _L8_A), ZERO4)
@@ -467,3 +521,34 @@ class TestClosureAndConjugation:
         report = quotient_singularities(close_group(generators))
         assert perf_counter() - start < 0.5
         assert report.multiset == BUILTIN_EXPECTED["bt24-shifted"]
+
+
+# ----------------------------------------------------------------------
+# Orbits computed in integers against the public Fraction path.
+
+elementary_steps = st.lists(
+    st.tuples(
+        st.permutations(range(4)).map(lambda p: p[:2]),
+        st.sampled_from([-2, -1, 1, 2]),
+    ),
+    max_size=6,
+)
+shifts = st.tuples(*[st.integers(0, 11)] * 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BUILTIN_NAMES), elementary_steps, shifts)
+def test_orbits_match_fraction_apply(name, steps, shift):
+    p, p_inv = ID4, ID4
+    for (i, j), k in steps:
+        p, p_inv = _mul4(p, elementary(i, j, k)), _mul4(elementary(i, j, -k), p_inv)
+    change = (p, p_inv, tuple(Fraction(x, 12) for x in shift))
+    generators = [conjugate(g, change) for g in builtin_action(name).generators]
+    action = close_group(generators, label=name)
+    report = quotient_singularities(action)
+    assert report.multiset == BUILTIN_EXPECTED[name]
+    for orbit in report.orbits:
+        images = [g.apply(orbit.representative) for g in action.elements]
+        assert len(set(images)) == orbit.size
+        assert images.count(orbit.representative) == orbit.stabilizer_order
+        assert min(images) == orbit.representative
