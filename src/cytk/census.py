@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
@@ -136,27 +135,10 @@ def _evaluate(record: NormalizedRecord) -> RecordVerdict:
 
 
 def run_census(
-    records: Sequence[NormalizedRecord], jobs: int = 1
+    records: Sequence[NormalizedRecord],
 ) -> tuple[CensusSummary, list[RecordVerdict]]:
-    """Evaluate every predicate on every record.
-
-    With ``jobs`` > 1 the records are evaluated by that many worker
-    processes, at most one per CPU; each evaluation is pure and the verdict
-    table is returned in input order, so the output is identical for any
-    worker count.
-    """
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1:
-        verdicts = [_evaluate(r) for r in records]
-    else:
-        # imported here: the process pool module costs every start-up ~15 ms;
-        # spawn, because fork is unsafe in a caller that runs threads
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            verdicts = list(pool.map(_evaluate, records, chunksize=64))
+    """Evaluate every predicate on every record, in input order."""
+    verdicts = [_evaluate(r) for r in records]
     failures = []
     not_smooth = 0
     not_smooth_no_edge = 0
@@ -179,11 +161,11 @@ def run_census(
 
 
 def census_lines(
-    lines: Iterable[str], jobs: int = 1
+    lines: Iterable[str],
 ) -> tuple[CensusSummary, list[RecordVerdict]]:
     """Parse and evaluate; all failures end up in the summary."""
     records, failures = parse_database(lines)
-    summary, verdicts = run_census(records, jobs=jobs)
+    summary, verdicts = run_census(records)
     merged = tuple(sorted(failures + list(summary.failures)))
     return replace(summary, failures=merged), verdicts
 

@@ -127,11 +127,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 lines = handle.readlines()
         else:
             lines = sys.stdin.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    summary, verdicts = census_mod.census_lines(lines, jobs=args.jobs)
+    summary, verdicts = census_mod.census_lines(lines)
 
     try:
         if args.csv:
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     census.add_argument("--csv", metavar="PATH", help="write the verdict table as CSV")
     census.add_argument("--json", metavar="PATH", help="write the verdict table as JSON")
-    census.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    census.add_argument("--jobs", type=_positive_int, default=1, help="has no effect")
     census.set_defaults(handler=_cmd_census)
 
     surf = sub.add_parser(

@@ -240,9 +240,10 @@ def close_group(
     of it runs on integer tuples over the generators' common denominator.
 
     Raises ActionValidationError when the closure exceeds ``cap`` elements,
-    contains several involutions, contains a non-trivial translation, has an
-    element of order outside {1,2,3,4,6}, or has a linear part that is not
-    the realification of an SL(2,C) element of matching order.
+    is the trivial group, contains several involutions, contains a
+    non-trivial translation, has an element of order outside {1,2,3,4,6},
+    or has a linear part that is not the realification of an SL(2,C)
+    element of matching order.
     """
     generators = tuple(generators)
     den = lcm(*(t.denominator for g in generators for t in g.translation))
@@ -258,6 +259,8 @@ def close_group(
                 if len(elements) > cap:
                     raise ActionValidationError(f"not finite within cap {cap}")
                 queue.append(product)
+    if len(elements) == 1:
+        raise ActionValidationError("trivial group: the quotient is the torus itself")
 
     # Numerators over one denominator sort as the fractions they stand for.
     ordered = sorted(elements)
@@ -516,6 +519,8 @@ def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
         raise ActionValidationError("malformed action description: not a JSON object")
     try:
         label = data.get("label", "")
+        if not isinstance(label, str):
+            raise TypeError(f"label must be a string, got {label!r}")
         generators = [
             AffineTorusMap(
                 tuple(tuple(_linear_entry(x) for x in row) for row in entry["linear"]),

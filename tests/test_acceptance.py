@@ -5,7 +5,6 @@ Criteria needing the full weight-system database fall back to the
 three-record sample when data/kreuzer_skarke_wp4.txt is absent.
 """
 
-import io
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +12,8 @@ from itertools import combinations
 import pytest
 
 from cytk.arith import determinant, is_partitionable
-from cytk.census import census_lines, run_census, write_csv
+from cytk.census import census_lines
+from cytk.cli import main
 from cytk.hypersurface import (
     c2_lower_bound,
     contained_edges,
@@ -50,7 +50,7 @@ def report(criterion: str, detail: str) -> None:
 @pytest.fixture(scope="module")
 def census_result(database_lines):
     lines = database_lines if database_lines is not None else SAMPLE_LINES
-    summary, verdicts = census_lines(lines, jobs=1)
+    summary, verdicts = census_lines(lines)
     return database_lines is not None, summary, verdicts
 
 
@@ -211,18 +211,21 @@ def test_criterion_5c_c2_bound_identity(census_result):
     )
 
 
-def test_criterion_5d_census_parallelism_invariance(database_lines):
+def test_criterion_5d_census_parallelism_invariance(database_lines, tmp_path, capsys):
     lines = database_lines if database_lines is not None else SAMPLE_LINES
+    source = tmp_path / "weights.txt"
+    source.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs = []
-    for jobs in (1, 8):
-        summary, verdicts = census_lines(lines, jobs=jobs)
-        buffer = io.StringIO()
-        write_csv(verdicts, buffer)
-        outputs.append((summary, buffer.getvalue()))
+    for jobs in ("1", "8"):
+        csv_path, json_path = tmp_path / f"{jobs}.csv", tmp_path / f"{jobs}.json"
+        argv = ["census", str(source), "--jobs", jobs]
+        assert main(argv + ["--csv", str(csv_path), "--json", str(json_path)]) == 0
+        stdout = capsys.readouterr().out
+        outputs.append((stdout, csv_path.read_bytes(), json_path.read_bytes()))
     assert outputs[0] == outputs[1]
     report(
-        "criterion 5d (parallelism invariance)",
-        f"1 vs 8 workers byte-identical over {outputs[0][0].total} records",
+        "criterion 5d (--jobs invariance)",
+        f"census --jobs 1 vs 8 byte-identical over {len(lines)} lines",
     )
 
 

@@ -1,7 +1,5 @@
-import concurrent.futures
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -176,35 +174,9 @@ class TestRunCensus:
         assert summary.total == 0
         assert len(summary.failures) == 1
 
-    def test_parallel_output_identical(self):
-        records = normalized_sample() * 30
-        buffers = []
-        for jobs in (1, 8):
-            summary, verdicts = run_census(records, jobs=jobs)
-            out = io.StringIO()
-            write_csv(verdicts, out)
-            buffers.append((summary, out.getvalue()))
-        assert buffers[0] == buffers[1]
-
-    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [])])
-    def test_workers_bounded_by_cpu_count(self, monkeypatch, cpus, pools):
-        real_pool = concurrent.futures.ProcessPoolExecutor
-        sizes = []
-
-        def recording_pool(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-        records = normalized_sample() * 30
-        assert run_census(records, jobs=8) == run_census(records, jobs=1)
-        assert sizes == pools
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_ks_list_gives_golden_verdicts(self, jobs):
+    def test_ks_list_gives_golden_verdicts(self):
         lines = KS_LIST.read_text(encoding="utf-8")
-        _, verdicts = census_lines(lines.splitlines(), jobs=jobs)
+        _, verdicts = census_lines(lines.splitlines())
         out = io.StringIO()
         write_csv(verdicts, out)
         golden = (PERFBENCH_DATA / "golden_verdicts.csv").read_bytes()
@@ -265,10 +237,9 @@ class TestWriteJson:
     """write_json fills templates; its text must be the encoder's, byte for
     byte."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_ks_list(self, jobs):
+    def test_ks_list(self):
         lines = KS_LIST.read_text(encoding="utf-8").splitlines()
-        summary, verdicts = census_lines(lines, jobs=jobs)
+        summary, verdicts = census_lines(lines)
         assert written_json(summary, verdicts) == reference_json(summary, verdicts)
 
     def test_every_failure_reason(self):
@@ -305,7 +276,7 @@ class TestDatabase:
     def test_database_counts(self, database_lines):
         if database_lines is None:
             pytest.skip("database file not present")
-        summary, _ = census_lines(database_lines, jobs=1)
+        summary, _ = census_lines(database_lines)
         assert summary.total == 7555
         assert summary.not_smooth_codim2 == 7238
         assert summary.not_smooth_codim2_and_no_edge == 2409

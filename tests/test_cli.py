@@ -22,6 +22,8 @@ KUMMER_ACTION = {
 }
 
 
+ID4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
 # Reports of the builtin actions, text and --json, one file each.
 TORUS_GOLDEN = Path(__file__).resolve().parent / "data" / "torus"
 
@@ -147,6 +149,14 @@ class TestCensus:
         code, _, err = run_cli(capsys, "census", str(tmp_path / "nope.txt"))
         assert code == 1
         assert "error" in err
+
+    def test_non_utf8_file_is_io_error(self, capsys, tmp_path):
+        sample = tmp_path / "latin1.txt"
+        sample.write_bytes(b"5 1 1 1 1 1\n\xff\n")
+        code, out, err = run_cli(capsys, "census", str(sample))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "0xff" in err
 
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         sample = tmp_path / "db.txt"
@@ -274,8 +284,10 @@ class TestTorusQuotient:
                     }
                 ],
             },
+            {**KUMMER_ACTION, "label": 7},
+            {**KUMMER_ACTION, "label": None},
         ],
-        ids=["top-level-list", "zero-denominator"],
+        ids=["top-level-list", "zero-denominator", "int-label", "null-label"],
     )
     def test_malformed_description_exit_3(self, tmp_path, document):
         bad = tmp_path / "bad.json"
@@ -313,6 +325,18 @@ class TestTorusQuotient:
             f"linear entry {shown} is not an integer\n"
         )
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "generators", [[], [{"linear": ID4, "translation": ["0", "0", "0", "0"]}] * 2],
+        ids=["no-generators", "identities"],
+    )
+    def test_trivial_group_exit_3(self, capsys, tmp_path, generators):
+        bad = tmp_path / "trivial.json"
+        bad.write_text(json.dumps({"generators": generators}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "torus-quotient", "--file", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err == "error: trivial group: the quotient is the torus itself\n"
 
     def test_invalid_action_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "translation.json"
