@@ -15,8 +15,10 @@ triangular form by unimodular integer row operations on [A | c]: Euclid's
 algorithm down each column.  The solutions are then built from the last
 row up as integer numerators over s = q * |det A|.  Division by a pivot h
 is exact, because s and the right-hand side of row i carry h: every
-coordinate solved before it is a multiple of the pivots above its row.  A
-Fraction is built only for each coordinate of the result.
+coordinate solved before it is a multiple of the pivots above its row.
+``solve_congruence_numerators`` returns those numerators with s and
+builds no Fraction; ``solve_congruence`` takes a rational right-hand
+side and returns the solutions as tuples of Fraction.
 """
 
 from __future__ import annotations
@@ -102,27 +104,26 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def solve_congruence(
-    a: Sequence[Sequence[int]], b: Sequence[Fraction | int]
-) -> frozenset[tuple[Fraction, ...]]:
-    """All x in (Q/Z)^n with ``A x = b (mod Z^n)``, as tuples with every
-    coordinate reduced to [0, 1).
+def solve_congruence_numerators(
+    a: Sequence[Sequence[int]], c: Sequence[int], q: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """All x in (Q/Z)^n with ``A x = c/q (mod Z^n)``, for integral c and
+    q >= 1, as ``(s, numerators)``: each solution is a tuple of integer
+    numerators in [0, s) over the common denominator s = q * |det A|.
 
-    For non-singular A the set is finite of size ``|det A|``.  A singular
-    compatible system raises :class:`InfiniteSolutionsError`; an
+    For non-singular A there are ``|det A|`` distinct solutions.  A
+    singular compatible system raises :class:`InfiniteSolutionsError`; an
     incompatible one raises :class:`NoSolutionError`.
     """
     m = _as_matrix(a)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
-    rhs = [Fraction(x) for x in b]
-    if len(rhs) != n:
+    if len(c) != n:
         raise ValueError("vector length must match the matrix")
-    # A x = c / q (mod Z^n) with c integral; unimodular row operations on
-    # the augmented rows [A | c] keep the solution set.
-    q = lcm(*(x.denominator for x in rhs))
-    rows = [row + [x.numerator * (q // x.denominator)] for row, x in zip(m, rhs)]
+    # Unimodular row operations on the augmented rows [A | c] keep the
+    # solution set.
+    rows = [row + [int(x)] for row, x in zip(m, c)]
 
     rank = 0
     for col in range(n):
@@ -155,10 +156,28 @@ def solve_congruence(
     s = q * det
     tails: list[tuple[int, ...]] = [()]
     for i in reversed(range(n)):
-        h, *right, c = rows[i][i:]
+        h, *right, c_i = rows[i][i:]
         grown = []
         for tail in tails:
-            rest = c * det - sum(map(mul, right, tail))
+            rest = c_i * det - sum(map(mul, right, tail))
             grown += [((rest + t * s) // h % s, *tail) for t in range(abs(h))]
         tails = grown
-    return frozenset(tuple(Fraction(x, s) for x in tail) for tail in tails)
+    return s, tails
+
+
+def solve_congruence(
+    a: Sequence[Sequence[int]], b: Sequence[Fraction | int]
+) -> frozenset[tuple[Fraction, ...]]:
+    """All x in (Q/Z)^n with ``A x = b (mod Z^n)``, as tuples with every
+    coordinate reduced to [0, 1).
+
+    For non-singular A the set is finite of size ``|det A|``.  A singular
+    compatible system raises :class:`InfiniteSolutionsError`; an
+    incompatible one raises :class:`NoSolutionError`.
+    """
+    rhs = [Fraction(x) for x in b]
+    q = lcm(*(x.denominator for x in rhs))
+    s, solutions = solve_congruence_numerators(
+        a, [x.numerator * (q // x.denominator) for x in rhs], q
+    )
+    return frozenset(tuple(Fraction(x, s) for x in tail) for tail in solutions)

@@ -7,16 +7,23 @@ concurrent callers can share the parser, which keeps no per-call state.
 
 Rationals are serialized as "num/den" strings so that JSON output stays
 exact.  JSON documents are emitted with sorted keys and a fixed layout, so
-parsing and re-serializing is byte-identical.
+parsing and re-serializing is byte-identical: each reply is exactly
+``json.dumps(document, sort_keys=True, indent=2)``.  A small recursive
+encoder writes it, because ``indent`` makes the stdlib use its
+pure-Python encoder; strings still go through the stdlib's C escaper.
+
+``census -`` reads stdin as bytes and decodes them as strictly as a file,
+so a byte that is not UTF-8 is an I/O error whatever the locale.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import io
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from cytk import census as census_mod
@@ -35,8 +42,39 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _encode(value: object, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the dicts with
+    string keys, lists, strings, ints, bools and None that cytk emits.
+    Under ``indent`` the stdlib runs its pure-Python encoder; here only the
+    string escaper runs per value, and it is the stdlib's C one."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        items = [
+            f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}"
+            for key in sorted(value)
+        ]
+        start, end = "{", "}"
+    elif kind is list:
+        items = [_encode(item, inner) for item in value]
+        start, end = "[", "]"
+    else:
+        raise TypeError(f"cannot encode {kind.__name__} as JSON")
+    if not items:
+        return start + end
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
+
+
 def _emit_json(document: dict) -> None:
-    print(json.dumps(document, sort_keys=True, indent=2))
+    print(_encode(document))
 
 
 def _bool_word(flag: bool) -> str:
@@ -126,7 +164,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
             with open(path, encoding="utf-8") as handle:
                 lines = handle.readlines()
         else:
-            lines = sys.stdin.readlines()
+            text = sys.stdin.buffer.read().decode("utf-8")
+            lines = io.StringIO(text, newline=None).readlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

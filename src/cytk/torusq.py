@@ -14,8 +14,11 @@ denominators: an integral M maps (1/D) Z^4 into itself, so every element is
 a pair (M, numerators of t over D) of integer tuples.  The closure, the
 order walk and the orbits run on those tuples; a Fraction is built for each
 element's translation once the group is closed, and for each orbit's
-representative.  Fixed points come from ``arith.solve_congruence``, which
-works on integer numerators over one common denominator too.
+representative.  Fixed points come from
+``arith.solve_congruence_numerators`` as integer numerators, which are
+lifted to one common denominator with the translations by integer
+multiplies; no Fraction is built or hashed between the fixed points and
+the reply.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from cytk.arith import (
     InfiniteSolutionsError,
     NoSolutionError,
     determinant,
-    solve_congruence,
+    solve_congruence_numerators,
 )
 from cytk.surface import REALIZED, DuValMultiset, DuValType
 
@@ -190,22 +193,34 @@ class AffineTorusMap:
         return len(traces)
 
 
+def _fixed_numerators(
+    linear: IntMatrix, shift: Numerators, den: int
+) -> tuple[int, list[Numerators]]:
+    """The fixed points of (M, t), t given by its numerators over den, as
+    ``(s, numerators over s)``: the solutions of (M - I) x = -t mod Z^4."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = linear
+    a = (
+        (a0 - 1, a1, a2, a3),
+        (b0, b1 - 1, b2, b3),
+        (c0, c1, c2 - 1, c3),
+        (d0, d1, d2, d3 - 1),
+    )
+    try:
+        return solve_congruence_numerators(a, [-t for t in shift], den)
+    except NoSolutionError:
+        return den, []
+    except InfiniteSolutionsError:
+        raise InfiniteSolutionsError("infinitely many fixed points")
+
+
 def fixed_points(g: AffineTorusMap) -> frozenset[Point]:
     """The fixed points of g on the torus: solutions of (M - I) x = -t
     mod Z^4.  Finite with exactly |det(M - I)| elements when M - I is
     non-singular; raises InfiniteSolutionsError for a compatible singular
     system (g then fixes a positive-dimensional set)."""
-    a = tuple(
-        tuple(m - int(i == j) for j, m in enumerate(row))
-        for i, row in enumerate(g.linear)
-    )
-    b = [-t for t in g.translation]
-    try:
-        return solve_congruence(a, b)
-    except NoSolutionError:
-        return frozenset()
-    except InfiniteSolutionsError:
-        raise InfiniteSolutionsError("infinitely many fixed points")
+    den = lcm(*(t.denominator for t in g.translation))
+    s, points = _fixed_numerators(g.linear, _numerators(g.translation, den), den)
+    return frozenset(tuple(Fraction(x, s) for x in point) for point in points)
 
 
 @dataclass(frozen=True)
@@ -345,19 +360,34 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
 
     Only the elements of prime order are solved for: a fixed point of g is
     fixed by every power of g, and each non-identity element has a power
-    of order 2 or 3.
+    of order 2 or 3.  Of an element g of order 3 and its inverse g^2, which
+    fix the same points, only the first is solved for.
 
-    Points and translations are written over one common denominator, so
-    orbits, stabilizers and representatives are found on integer tuples."""
-    solved = [
-        fixed_points(g) for g, n in zip(action.elements, action.orders) if n in (2, 3)
-    ]
-    den = lcm(
-        *(t.denominator for g in action.elements for t in g.translation),
-        *(x.denominator for points in solved for point in points for x in point),
-    )
+    Each element is solved as (M - I) x = -t over the action's denominator
+    D, which gives numerators over s = D * |det(M - I)|.  Points and
+    translations are then lifted to one common denominator by integer
+    multiplies, so orbits, stabilizers and representatives are found on
+    integer tuples, and a Fraction is built only for each representative."""
+    den = lcm(*(t.denominator for g in action.elements for t in g.translation))
     elements = [(g.linear, _numerators(g.translation, den)) for g in action.elements]
-    points = {_numerators(point, den) for points in solved for point in points}
+    solved = []
+    inverses = set()
+    for (linear, shift), n in zip(elements, action.orders):
+        if n in (2, 3) and (linear, shift) not in inverses:
+            solved.append(_fixed_numerators(linear, shift, den))
+            inverses.add((_mat_mul(linear, linear), _image(linear, shift, shift, den)))
+    # Every s is a multiple of den.
+    common = lcm(den, *(s for s, _ in solved))
+    points = set()
+    for s, found in solved:
+        k = common // s
+        points.update((x0 * k, x1 * k, x2 * k, x3 * k) for x0, x1, x2, x3 in found)
+    k = common // den
+    elements = [
+        (linear, (t0 * k, t1 * k, t2 * k, t3 * k))
+        for linear, (t0, t1, t2, t3) in elements
+    ]
+    den = common
 
     orbits: list[Orbit] = []
     seen: set[Numerators] = set()

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from cytk.arith import (
     is_pair_partitionable,
     is_partitionable,
     solve_congruence,
+    solve_congruence_numerators,
 )
 
 
@@ -208,3 +210,39 @@ class TestSolveCongruence:
         u = random_unimodular(rng)
         ub = [sum(c * bi for c, bi in zip(row, b)) for row in u]
         assert solve_congruence(mat_mul(u, a), ub) == sols
+
+
+class TestSolveCongruenceNumerators:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**30))
+    def test_numerators_over_s_are_the_rational_solutions(self, seed):
+        rng = random.Random(seed)
+        det = 0
+        while not 0 < abs(det) <= 400:
+            a = tuple(tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(4))
+            det = determinant(a)
+        b = [
+            Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 12)))
+            for _ in range(4)
+        ]
+        # Any multiple of the denominators will do, not only their lcm.
+        q = lcm(*(x.denominator for x in b)) * rng.choice((1, 2, 5))
+        c = [x.numerator * (q // x.denominator) for x in b]
+        s, numerators = solve_congruence_numerators(a, c, q)
+        assert s == q * abs(det)
+        assert len(numerators) == len(set(numerators)) == abs(det)
+        assert all(0 <= x < s for point in numerators for x in point)
+        divided = frozenset(tuple(Fraction(x, s) for x in point) for point in numerators)
+        assert divided == solve_congruence(a, b)
+
+    def test_singular_compatible_is_infinite(self):
+        with pytest.raises(InfiniteSolutionsError):
+            solve_congruence_numerators([[0, 0], [0, 1]], [0, 0], 1)
+
+    def test_singular_incompatible_has_no_solution(self):
+        with pytest.raises(NoSolutionError):
+            solve_congruence_numerators([[0, 0], [0, 1]], [1, 0], 2)
+
+    def test_vector_length_must_match(self):
+        with pytest.raises(ValueError, match="vector length"):
+            solve_congruence_numerators([[1, 0], [0, 1]], [0], 1)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -6,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cytk import cli, torusq
 from cytk.cli import main
@@ -26,6 +29,7 @@ ID4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 # Reports of the builtin actions, text and --json, one file each.
 TORUS_GOLDEN = Path(__file__).resolve().parent / "data" / "torus"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +193,46 @@ class TestCensus:
         code, out, _ = run_cli(capsys, "census", str(sample))
         assert code == 0
         assert "failures (1):" in out
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"5 1 1 1 1 1\r\n120 3 7 20 40 50\r\ngarbage\n", b"6 1 1\r7\x0c8\n"],
+    )
+    def test_stdin_reads_like_a_file(self, capsys, tmp_path, data):
+        sample = tmp_path / "sample.txt"
+        sample.write_bytes(data)
+        code, out, err = run_cli(capsys, "census", str(sample))
+        result = run_in_c_locale(["census", "-"], data)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            code,
+            out.encode("utf-8"),
+            err.encode("utf-8"),
+        )
+
+    def test_non_utf8_stdin_is_io_error(self):
+        result = run_in_c_locale(["census", "-"], b"5 1 1 1 1 1\n\xff\n")
+        assert result.returncode == cli.EXIT_IO
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ") and b"0xff" in result.stderr
+        assert b"Traceback" not in result.stderr
+
+
+def run_in_c_locale(argv, stdin: bytes) -> subprocess.CompletedProcess:
+    """Run ``python -m cytk`` with no locale set, which is the C locale."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith(("LC_", "LANG"))
+        and key not in ("PYTHONIOENCODING", "PYTHONUTF8")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cytk", *argv],
+        input=stdin,
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
 
 
 class TestSurface:
@@ -393,6 +437,66 @@ class TestTorusQuotient:
         assert document["multiset"] == "4A3+6A1"
         assert document["orbifold_c2"] == "0/1"
         assert json.dumps(document, sort_keys=True, indent=2) == out.strip()
+
+
+# Strings with quotes, backslashes, control, non-ASCII and astral characters.
+_json_text = st.text(
+    st.sampled_from(["\"", "\\", "\x00", "\x1f", "\n", "\t", "é", "\U0001f600", "a"])
+    | st.characters()
+)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(max_value=-(2**70))
+    | _json_text,
+    lambda children: st.lists(children) | st.dictionaries(_json_text, children),
+    max_leaves=25,
+)
+
+
+class TestJsonEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    def test_matches_stdlib_indent_2(self, value):
+        assert cli._encode(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_empty_containers_nested(self):
+        value = {"a": [], "b": {}, "c": [[], {}], "d": [{"e": []}]}
+        assert cli._encode(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            cli._encode({"x": value})
+
+    @pytest.mark.parametrize(
+        "argv, shows",
+        [
+            # A KS record with a contained edge and a singular curve.
+            (
+                ["analyze", "56", "2", "4", "9", "13", "28"],
+                lambda d: d["contained_edges"] and d["singular_curves"],
+            ),
+            (
+                ["analyze", "6", "1", "1", "1", "1", "1"],
+                lambda d: d["c2_lower_bound"] is None and d["singular_curves"] == [],
+            ),
+            (
+                ["surface", "16A1"],
+                lambda d: d["classification"]["verdict"] == "realized",
+            ),
+            (["surface", "5A4"], lambda d: d["gate"]["verdict"] == "excluded"),
+            (["surface", "A1"], lambda d: d["conditional"]),
+            (["enumerate-zero-c2"], lambda d: d["count"] == len(d["multisets"]) == 35),
+        ],
+    )
+    def test_reply_is_the_stdlib_encoding(self, capsys, argv, shows):
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert shows(document)
+        assert out == json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 class TestSharedParser:

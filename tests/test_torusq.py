@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk.arith import InfiniteSolutionsError, determinant
+from cytk.arith import InfiniteSolutionsError, determinant, solve_congruence
 from cytk.surface import DuValMultiset, orbifold_c2
 from cytk.torusq import (
     _L8_A,
@@ -129,7 +129,9 @@ class TestFixedPoints:
                 for d in (rng.choice(denominators) for _ in range(4))
             )
             g = AffineTorusMap(tuple(tuple(r) for r in m), t)
-            assert len(fixed_points(g)) == abs(det)
+            points = fixed_points(g)
+            assert len(points) == abs(det)
+            assert points == solve_congruence(delta, [-x for x in t])
             checked += 1
 
 
