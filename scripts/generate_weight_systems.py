@@ -37,8 +37,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cytk.census import census_lines, format_record  # noqa: E402
-from cytk.hypersurface import is_quasismooth  # noqa: E402
-from cytk.wps import WeightSystem, is_wellformed_hypersurface  # noqa: E402
+from cytk.hypersurface import is_quasismooth, is_wellformed_hypersurface  # noqa: E402
+from cytk.wps import WeightSystem  # noqa: E402
 
 
 # ----------------------------------------------------------------------

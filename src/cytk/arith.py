@@ -8,7 +8,10 @@ A partition query costs O(1) big-integer operations for two parts.  For
 three or more parts it tries the multiples of the largest part up to its
 period against the others, at most min(parts) ** (len(parts) - 2) pair
 tests, so its cost is bounded by the parts and grows with the target only
-through the length of its digits.
+through the length of its digits.  ``is_pair_partitionable`` is the
+reference for the two-part test that the pass over the pairs of weights in
+``hypersurface`` runs inline, with each pair's gcd and inverse taken once
+for d and every d - w_j; the tests check the pass against it.
 
 A congruence A x = c/q (mod Z^n), with c integral, is brought to upper
 triangular form by unimodular integer row operations on [A | c]: Euclid's

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
 from cytk import hypersurface
-from cytk.hypersurface import stratified_locus  # total, so failed records get one
-from cytk.wps import WeightSystem, is_wellformed_hypersurface
+from cytk.wps import WeightSystem
 
 N3 = "N3"  # record arrived with 4 weights, the d/2 weight was appended
 N4 = "N4"  # record arrived with all 5 weights
@@ -119,14 +118,14 @@ def parse_database(
 
 def _evaluate(record: NormalizedRecord) -> RecordVerdict:
     ws = record.ws
-    locus = stratified_locus(ws)
+    wellformed, quasismooth, locus = hypersurface.examine(ws)  # locus also for failures
     return RecordVerdict(
         line=record.source_line,
         degree=ws.degree,
         weights=ws.weights,
         origin=record.origin,
-        wellformed=is_wellformed_hypersurface(ws),
-        quasismooth=hypersurface.is_quasismooth(ws),
+        wellformed=wellformed,
+        quasismooth=quasismooth,
         calabi_yau=hypersurface.is_calabi_yau_degree(ws),
         smooth_in_codim2=locus.smooth_in_codim2,
         contains_no_edge=locus.contains_no_edge,

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from cytk import census as census_mod
 from cytk import hypersurface, surface, torusq
-from cytk.wps import WeightSystem, is_wellformed_hypersurface
+from cytk.wps import WeightSystem
 
 DATABASE_ENV = "CYTK_DATABASE"
 
@@ -88,10 +88,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    wellformed = is_wellformed_hypersurface(ws)
-    quasismooth = hypersurface.is_quasismooth(ws)
+    wellformed, quasismooth, locus = hypersurface.examine(ws)
     calabi_yau = hypersurface.is_calabi_yau_degree(ws)
-    locus = hypersurface.stratified_locus(ws)
     bound = hypersurface.c2_lower_bound(ws) if calabi_yau else None
 
     if args.json:

@@ -1,6 +1,5 @@
 """The weighted projective space P(w0, ..., w4), its coordinate strata and
-their quotient singularities; the hypersurface criteria also take any
-n >= 3 weights."""
+their quotient singularities; a weight system takes any n >= 3 weights."""
 
 from __future__ import annotations
 
@@ -130,20 +129,6 @@ class CyclicQuotientType:
 
 
 StratumSingularity = Union[None, int, CyclicQuotientType]
-
-
-def is_wellformed_hypersurface(ws: WeightSystem) -> bool:
-    """Degree/weight conditions under which adjunction computes the canonical
-    class of the general hypersurface: any n - 1 of the n weights are
-    coprime, and the gcd of any n - 2 weights divides the degree."""
-    d, w = ws.degree, ws.weights
-    for i in range(len(w)):
-        if gcd(*w[:i], *w[i + 1 :]) != 1:
-            return False
-    for i, j in combinations(range(len(w)), 2):
-        if d % gcd(*w[:i], *w[i + 1 : j], *w[j + 1 :]) != 0:
-            return False
-    return True
 
 
 def stratum_singularity(ws: WeightSystem, stratum: Stratum) -> StratumSingularity:

@@ -19,6 +19,7 @@ from cytk.hypersurface import (
     contained_edges,
     is_calabi_yau_degree,
     is_quasismooth,
+    is_wellformed_hypersurface,
     singular_locus,
 )
 from cytk.surface import (
@@ -38,7 +39,7 @@ from cytk.torusq import (
     fixed_points,
     quotient_singularities,
 )
-from cytk.wps import CyclicQuotientType, WeightSystem, is_wellformed_hypersurface
+from cytk.wps import CyclicQuotientType, WeightSystem
 
 from conftest import SAMPLE_LINES
 

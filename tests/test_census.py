@@ -206,11 +206,10 @@ class TestExports:
 
     def test_verdict_values_match_module_predicates(self):
         from cytk import hypersurface
-        from cytk.wps import is_wellformed_hypersurface
 
         _, verdicts = run_census(normalized_sample())
         for record, verdict in zip(normalized_sample(), verdicts):
-            assert verdict.wellformed == is_wellformed_hypersurface(record.ws)
+            assert verdict.wellformed == hypersurface.is_wellformed_hypersurface(record.ws)
             assert verdict.quasismooth == hypersurface.is_quasismooth(record.ws)
             assert verdict.calabi_yau == hypersurface.is_calabi_yau_degree(record.ws)
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cytk import cli, torusq
+from cytk.arith import is_pair_partitionable
 from cytk.cli import main
 
 
@@ -78,6 +80,26 @@ class TestAnalyze:
         assert time.perf_counter() - start < 0.5
         assert code == 0
         assert "singular curve zeroed=[0, 1] of type 1/10000000(1,1)" in out
+
+    def test_condition_3_at_large_parts(self, capsys):
+        # d = 1 + 2uvw and weights (1, 1, uv, vw, wu) for the primes u, v, w:
+        # no pair of the three large weights partitions d, so the verdict
+        # rests on the three-part loop of arith.is_partitionable
+        u, v, w = 100003, 100019, 100043
+        d, large = 1 + 2 * u * v * w, (u * v, v * w, w * u)
+        assert (d, large) == (2001300200604903, (10002200057, 10006200817, 10004600129))
+        code, out, _ = run_cli(
+            capsys, "analyze", str(d), "1", "1", *map(str, large), "--json"
+        )
+        assert code == 0
+        document = json.loads(out)
+        assert document["wellformed"] and document["quasismooth"]
+        assert not any(is_pair_partitionable(d, a, b) for a, b in combinations(large, 2))
+        assert [e["free_weights"] for e in document["contained_edges"]] == [
+            [u * v, v * w],
+            [u * v, w * u],
+            [v * w, w * u],
+        ]
 
     def test_invalid_weights_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "10", "2", "2", "2", "2", "2")

@@ -53,6 +53,12 @@ def test_five_weights_reproduce_ks_list_up_to_degree_100(tmp_path):
     assert records(path) == expected
 
 
+def test_five_weight_counts_up_to_degree_150():
+    out = generate("--weights", "5", "--cap", "150", "--stats")
+    assert out.startswith("3510 weight systems with 5 weights ")
+    assert "not smooth in codim 2: 3373; of which no edge: 1125" in out
+
+
 @pytest.mark.parametrize(
     "formatter",
     [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cytk.arith import is_pair_partitionable
 from cytk.hypersurface import (
     ContainedEdge,
     EdgePointLocus,
@@ -18,17 +19,19 @@ from cytk.hypersurface import (
     c2_lower_bound,
     contained_edges,
     contains_no_edge,
+    examine,
     is_calabi_yau_degree,
     is_quasismooth,
     is_smooth_in_codim2,
+    is_wellformed_hypersurface,
     singular_locus,
     stratified_locus,
+    _pair_pass,
 )
 from cytk.wps import (
     CyclicQuotientType,
     Stratum,
     WeightSystem,
-    is_wellformed_hypersurface,
     stratum_singularity,
 )
 
@@ -199,6 +202,23 @@ def reference_is_quasismooth(ws):
     return True
 
 
+def reference_is_wellformed(ws):
+    """Any n - 1 of the n weights coprime and the gcd of any n - 2 of them
+    dividing d, with each subset's gcd taken afresh by slicing."""
+    d, w = ws.degree, ws.weights
+    for i in range(len(w)):
+        if gcd(*w[:i], *w[i + 1 :]) != 1:
+            return False
+    for i, j in combinations(range(len(w)), 2):
+        if d % gcd(*w[:i], *w[i + 1 : j], *w[j + 1 :]) != 0:
+            return False
+    return True
+
+
+def reference_examine(ws):
+    return reference_is_wellformed(ws), reference_is_quasismooth(ws), reference_locus(ws)
+
+
 def reference_locus(ws):
     d, w = ws.degree, ws.weights
     vertices = tuple(i for i in range(5) if w[i] > 1 and d % w[i] != 0)
@@ -253,11 +273,14 @@ class TestAgainstAllSubsetsReference:
     @settings(max_examples=400, deadline=None)
     @given(weight_systems())
     def test_random_weight_systems(self, ws):
+        assert examine(ws) == reference_examine(ws)
         assert is_quasismooth(ws) == reference_is_quasismooth(ws)
+        assert is_wellformed_hypersurface(ws) == reference_is_wellformed(ws)
         assert stratified_locus(ws) == reference_locus(ws)
 
     def test_worked_examples(self):
         for ws in (X1734, X120, X56, X7, QUINTIC, WeightSystem(9, (1, 1, 3, 3, 7))):
+            assert examine(ws) == reference_examine(ws)
             assert is_quasismooth(ws) == reference_is_quasismooth(ws)
             assert stratified_locus(ws) == reference_locus(ws)
 
@@ -265,6 +288,26 @@ class TestAgainstAllSubsetsReference:
     @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))
     def test_any_number_of_weights(self, ws):
         assert is_quasismooth(ws) == reference_is_quasismooth(ws)
+        assert is_wellformed_hypersurface(ws) == reference_is_wellformed(ws)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))
+    def test_pair_pass_against_pair_reference(self, ws):
+        # each pair's in-loop tests on d and on the d - w_j, and its gcds;
+        # the d - w_j are tested until condition (1) or (2) has failed
+        d, w = ws.degree, ws.weights
+        _, _, pairs = _pair_pass(ws)
+        indices = list(combinations(range(len(w)), 2))
+        assert len(pairs) == len(indices)
+        counting = all(any((d - x) % y == 0 for x in w) for y in w)
+        for (i, j), (g, on_d, hits, m) in zip(indices, pairs):
+            a, b = w[i], w[j]
+            assert g == gcd(a, b)
+            assert on_d == is_pair_partitionable(d, a, b)
+            on_targets = min(sum(is_pair_partitionable(d - x, a, b) for x in w), 2)
+            assert hits == (on_targets if counting else 0)
+            counting = counting and on_targets == 2
+            assert m == gcd(*(w[k] for k in range(len(w)) if k not in (i, j)))
 
 
 def test_huge_degree_is_fast():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cytk.hypersurface import is_wellformed_hypersurface
 from cytk.wps import (
     CyclicQuotientType,
     Stratum,
     WeightSystem,
-    is_wellformed_hypersurface,
     singular_strata,
     stratum_singularity,
 )
