@@ -20,14 +20,13 @@ row up as integer numerators over s = q * |det A|.  Division by a pivot h
 is exact, because s and the right-hand side of row i carry h: every
 coordinate solved before it is a multiple of the pivots above its row.
 ``solve_congruence_numerators`` returns those numerators with s and
-builds no Fraction; ``solve_congruence`` takes a rational right-hand
-side and returns the solutions as tuples of Fraction.
+builds no Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -167,20 +166,3 @@ def solve_congruence_numerators(
         tails = grown
     return s, tails
 
-
-def solve_congruence(
-    a: Sequence[Sequence[int]], b: Sequence[Fraction | int]
-) -> frozenset[tuple[Fraction, ...]]:
-    """All x in (Q/Z)^n with ``A x = b (mod Z^n)``, as tuples with every
-    coordinate reduced to [0, 1).
-
-    For non-singular A the set is finite of size ``|det A|``.  A singular
-    compatible system raises :class:`InfiniteSolutionsError`; an
-    incompatible one raises :class:`NoSolutionError`.
-    """
-    rhs = [Fraction(x) for x in b]
-    q = lcm(*(x.denominator for x in rhs))
-    s, solutions = solve_congruence_numerators(
-        a, [x.numerator * (q // x.denominator) for x in rhs], q
-    )
-    return frozenset(tuple(Fraction(x, s) for x in tail) for tail in solutions)

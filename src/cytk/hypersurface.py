@@ -15,7 +15,7 @@ weights: m > 1 makes the two-face on which a and b vanish cut a singular
 curve of order m, and m, a gcd of n - 2 weights, must divide d for
 wellformedness, while gcd(m, a) and gcd(m, b), gcds of n - 1 weights, must
 be 1.  ``is_quasismooth``, ``is_wellformed_hypersurface`` and
-``stratified_locus`` read that pass, so each criterion is written once."""
+``singular_locus`` read that pass, so each criterion is written once."""
 
 from __future__ import annotations
 
@@ -267,19 +267,6 @@ def is_quasismooth(ws: WeightSystem) -> bool:
     return _condition_1(w, [ws.degree - x for x in w]) and _pair_pass(ws)[1]
 
 
-def stratified_locus(ws: WeightSystem) -> SingularLocusReport:
-    """The stratified singular locus of the general X, as ``examine`` gives
-    it: also for records that fail a criterion.  Raises ValueError unless
-    the weight system has five weights."""
-    return examine(ws)[2]
-
-
-def contained_edges(ws: WeightSystem) -> tuple[ContainedEdge, ...]:
-    """The edges of P lying entirely in X: those whose two free weights do
-    not partition d.  Deterministic (lex on free coordinates) order."""
-    return stratified_locus(ws).contained_edges
-
-
 def singular_locus(ws: WeightSystem) -> SingularLocusReport:
     """Stratified singular locus of the general quasismooth hypersurface.
 
@@ -290,18 +277,6 @@ def singular_locus(ws: WeightSystem) -> SingularLocusReport:
     if not quasismooth:
         raise NotQuasismoothError(f"not quasismooth: {ws}")
     return locus
-
-
-def is_smooth_in_codim2(ws: WeightSystem) -> bool:
-    """True iff the singular locus of X contains no curve: no singular
-    two-face and no contained singular edge."""
-    return singular_locus(ws).smooth_in_codim2
-
-
-def contains_no_edge(ws: WeightSystem) -> bool:
-    """True iff X contains no edge of P at all (singular or not), i.e.
-    every pair of weights partitions d."""
-    return singular_locus(ws).contains_no_edge
 
 
 def c2_lower_bound(ws: WeightSystem) -> C2BoundReport:

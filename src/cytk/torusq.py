@@ -12,9 +12,10 @@ Translations and points are tuples of Fraction at the interface only.  An
 action works over one denominator D, the lcm of its generators' translation
 denominators: an integral M maps (1/D) Z^4 into itself, so every element is
 a pair (M, numerators of t over D) of integer tuples.  The closure, the
-order walk and the orbits run on those tuples; a Fraction is built for each
-element's translation once the group is closed, and for each orbit's
-representative.  Fixed points come from
+order walk and the orbits run on those tuples, and the action keeps them
+with D; a Fraction is built for each orbit's representative, and for each
+element's translation only when ``TorusAction.elements`` is read.  Fixed
+points come from
 ``arith.solve_congruence_numerators`` as integer numerators, which are
 lifted to one common denominator with the translations by integer
 multiplies; no Fraction is built or hashed between the fixed points and
@@ -225,17 +226,29 @@ def fixed_points(g: AffineTorusMap) -> frozenset[Point]:
 
 @dataclass(frozen=True)
 class TorusAction:
-    """A validated finite group of affine torus automorphisms; ``orders[i]``
-    is the order of ``elements[i]``."""
+    """A validated finite group of affine torus automorphisms.  ``table``
+    holds its elements in sorted order as pairs (M, numerators of t over
+    ``denominator``); ``orders[i]`` is the order of the i-th element."""
 
     label: str
     generators: tuple[AffineTorusMap, ...]
-    elements: tuple[AffineTorusMap, ...]
+    table: tuple[tuple[IntMatrix, Numerators], ...]
+    denominator: int
     orders: tuple[int, ...]
 
     @property
+    def elements(self) -> tuple[AffineTorusMap, ...]:
+        """The elements as maps with Fraction translations, built on each
+        read."""
+        den = self.denominator
+        return tuple(
+            AffineTorusMap._trusted(linear, tuple(Fraction(x, den) for x in shift))
+            for linear, shift in self.table
+        )
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.table)
 
 
 def close_group(
@@ -303,10 +316,8 @@ def close_group(
     return TorusAction(
         label=label,
         generators=generators,
-        elements=tuple(
-            AffineTorusMap._trusted(linear, tuple(Fraction(x, den) for x in shift))
-            for linear, shift in ordered
-        ),
+        table=tuple(ordered),
+        denominator=den,
         orders=orders,
     )
 
@@ -368,8 +379,8 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
     translations are then lifted to one common denominator by integer
     multiplies, so orbits, stabilizers and representatives are found on
     integer tuples, and a Fraction is built only for each representative."""
-    den = lcm(*(t.denominator for g in action.elements for t in g.translation))
-    elements = [(g.linear, _numerators(g.translation, den)) for g in action.elements]
+    den = action.denominator
+    elements = action.table
     solved = []
     inverses = set()
     for (linear, shift), n in zip(elements, action.orders):
@@ -541,6 +552,14 @@ def _linear_entry(value: object) -> int:
     return value
 
 
+def _translation_entry(value: object) -> Fraction:
+    """A translation coordinate, which JSON must give as a "p/q" string: a
+    float is not read as the binary fraction it rounds to."""
+    if not isinstance(value, str):
+        raise TypeError(f'translation entry {json.dumps(value)} is not a "p/q" string')
+    return Fraction(value)
+
+
 def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
     """Build a validated action from the JSON form
     {"label": str, "generators": [{"linear": [[int;4];4],
@@ -554,7 +573,7 @@ def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
         generators = [
             AffineTorusMap(
                 tuple(tuple(_linear_entry(x) for x in row) for row in entry["linear"]),
-                tuple(Fraction(str(t)) for t in entry["translation"]),
+                tuple(_translation_entry(t) for t in entry["translation"]),
             )
             for entry in data["generators"]
         ]

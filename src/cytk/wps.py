@@ -1,12 +1,10 @@
-"""The weighted projective space P(w0, ..., w4), its coordinate strata and
-their quotient singularities; a weight system takes any n >= 3 weights."""
+"""Weight systems of weighted projective spaces, with any n >= 3 weights,
+and the cyclic quotient surface germs 1/m(a, b) in canonical form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
-from typing import Iterator, Union
 
 
 @dataclass(frozen=True)
@@ -35,34 +33,6 @@ class WeightSystem:
         """Raise ValueError unless the ambient space is weighted P4."""
         if len(self.weights) != 5:
             raise ValueError(f"five weights needed for weighted P4: {self}")
-
-
-_KINDS = {4: "vertex", 3: "edge", 2: "two-face"}
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """A coordinate stratum of P, recorded by its set of vanishing
-    coordinates: 4 zeroed coordinates give a vertex, 3 an edge, 2 a
-    two-face."""
-
-    zeroed: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        zeroed = tuple(sorted(int(i) for i in self.zeroed))
-        object.__setattr__(self, "zeroed", zeroed)
-        if len(set(zeroed)) != len(zeroed) or not 2 <= len(zeroed) <= 4:
-            raise ValueError("a stratum zeroes 2, 3 or 4 distinct coordinates")
-        if any(i < 0 or i > 4 for i in zeroed):
-            raise ValueError("coordinate indices run from 0 to 4")
-
-    @property
-    def kind(self) -> str:
-        return _KINDS[len(self.zeroed)]
-
-    @property
-    def free(self) -> tuple[int, ...]:
-        return tuple(i for i in range(5) if i not in self.zeroed)
 
 
 def _least_orbit_point(m: int, a: int, b: int) -> tuple[int, int]:
@@ -126,51 +96,3 @@ class CyclicQuotientType:
     def __str__(self) -> str:
         a, b = self.local_weights
         return f"1/{self.order}({a},{b})"
-
-
-StratumSingularity = Union[None, int, CyclicQuotientType]
-
-
-def stratum_singularity(ws: WeightSystem, stratum: Stratum) -> StratumSingularity:
-    """Quotient-singularity data of the ambient space along a stratum.
-
-    A two-face whose three free weights have gcd m > 1 meets the general
-    hypersurface in a curve of transverse type 1/m(w_i mod m, w_j mod m),
-    where i, j are the zeroed coordinates; that type is returned.  Singular
-    edges and vertices only carry their local group order, returned as an
-    int marker.  Non-singular strata give None.  Raises ValueError unless
-    the weight system has five weights.
-    """
-    ws.require_p4()
-    w = ws.weights
-    if stratum.kind == "vertex":
-        weight = w[stratum.free[0]]
-        return weight if weight > 1 else None
-    if stratum.kind == "edge":
-        m = gcd(*(w[i] for i in stratum.free))
-        return m if m > 1 else None
-    m = gcd(*(w[i] for i in stratum.free))
-    if m == 1:
-        return None
-    i, j = stratum.zeroed
-    return CyclicQuotientType(m, (w[i] % m, w[j] % m))
-
-
-def all_strata() -> Iterator[Stratum]:
-    """The 10 two-faces, 10 edges and 5 vertices, by (size, lex) order."""
-    for size in (2, 3, 4):
-        for zeroed in combinations(range(5), size):
-            yield Stratum(zeroed)
-
-
-def singular_strata(
-    ws: WeightSystem,
-) -> list[tuple[Stratum, Union[int, CyclicQuotientType]]]:
-    """All strata along which the ambient space is singular, with their
-    singularity data, in deterministic (size, lex) order."""
-    found = []
-    for stratum in all_strata():
-        data = stratum_singularity(ws, stratum)
-        if data is not None:
-            found.append((stratum, data))
-    return found

@@ -16,7 +16,6 @@ from cytk.census import census_lines
 from cytk.cli import main
 from cytk.hypersurface import (
     c2_lower_bound,
-    contained_edges,
     is_calabi_yau_degree,
     is_quasismooth,
     is_wellformed_hypersurface,
@@ -93,10 +92,10 @@ def test_criterion_2_hypersurface_examples():
     x56 = WeightSystem(56, (2, 4, 9, 13, 28))
     assert is_quasismooth(x56)
     assert is_wellformed_hypersurface(x56)
-    assert [e.zeroed for e in contained_edges(x56)] == [(0, 1, 4)]
+    assert [e.zeroed for e in singular_locus(x56).contained_edges] == [(0, 1, 4)]
 
     x7 = WeightSystem(7, (1, 1, 1, 2, 2))
-    assert [e.zeroed for e in contained_edges(x7)] == [(0, 1, 2)]
+    assert [e.zeroed for e in singular_locus(x7).contained_edges] == [(0, 1, 2)]
     report(
         "criterion 2 (hypersurface examples)",
         "X1734 three curves and no edge; X120 one curve; X56 edge (0,1,4); "

@@ -14,7 +14,6 @@ from cytk.arith import (
     determinant,
     is_pair_partitionable,
     is_partitionable,
-    solve_congruence,
     solve_congruence_numerators,
 )
 
@@ -132,17 +131,47 @@ class TestDeterminantAndCharpoly:
 HALF = Fraction(1, 2)
 
 
+def as_fractions(s, numerators):
+    """The solutions that ``solve_congruence_numerators`` gives as
+    numerators over s, as a set of Fraction tuples."""
+    return frozenset(tuple(Fraction(x, s) for x in point) for point in numerators)
+
+
+def random_system(rng):
+    """A 4x4 integer A with 0 < |det A| <= 400 and a rational right-hand
+    side b, given as (A, det A, b, c, q) with c = q b integral for q the
+    lcm of the denominators of b."""
+    det = 0
+    while not 0 < abs(det) <= 400:
+        a = tuple(tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(4))
+        det = determinant(a)
+    b = [
+        Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 12)))
+        for _ in range(4)
+    ]
+    q = lcm(*(x.denominator for x in b))
+    return a, det, b, [x.numerator * (q // x.denominator) for x in b], q
+
+
+def assert_solves(a, b, solutions):
+    """Each solution has coordinates in [0, 1) and solves A x = b mod Z^n."""
+    for x in solutions:
+        assert all(0 <= coord < 1 for coord in x)
+        residue = [sum(c * v for c, v in zip(row, x)) - bi for row, bi in zip(a, b)]
+        assert all(r.denominator == 1 for r in residue)
+
+
 class TestSolveCongruence:
     def test_two_torsion(self):
         a = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
-        sols = solve_congruence(a, [0, 0, 0, 0])
+        sols = as_fractions(*solve_congruence_numerators(a, [0, 0, 0, 0], 1))
         assert len(sols) == 16
         assert all(set(x) <= {0, HALF} for x in sols)
 
     def test_identity_with_shift(self):
         a = [[int(i == j) for j in range(4)] for i in range(4)]
-        sols = solve_congruence(a, [HALF, 0, 0, 0])
-        assert sols == frozenset({(HALF, Fraction(0), Fraction(0), Fraction(0))})
+        # x = (1/2, 0, 0, 0), as numerators over s = 2 * |det A| = 2
+        assert solve_congruence_numerators(a, [1, 0, 0, 0], 2) == (2, [(1, 0, 0, 0)])
 
     def test_order_three_block_count(self):
         # oracle: exhaustive search over coordinates with denominator 3
@@ -157,23 +186,28 @@ class TestSolveCongruence:
             )
         }
         assert len(expected) == 9
-        assert solve_congruence(block, [0, 0, 0, 0]) == frozenset(expected)
+        solved = solve_congruence_numerators(block, [0, 0, 0, 0], 1)
+        assert as_fractions(*solved) == frozenset(expected)
 
     def test_singular_compatible_is_infinite(self):
+        # the zero row reads 0 = 0; the right-hand side elsewhere is 1/3
         a = [[0, 0], [0, 1]]
         with pytest.raises(InfiniteSolutionsError):
-            solve_congruence(a, [0, 0])
+            solve_congruence_numerators(a, [0, 1], 3)
 
     def test_singular_incompatible_has_no_solution(self):
+        # the zero row reads 0 = 2/3
         a = [[0, 0], [0, 1]]
         with pytest.raises(NoSolutionError):
-            solve_congruence(a, [HALF, 0])
+            solve_congruence_numerators(a, [2, 0], 3)
 
     def test_canonical_representatives(self):
+        # b = (-1/2, 7/3) over q = 6
         a = [[1, 0], [0, 3]]
-        sols = solve_congruence(a, [Fraction(-1, 2), Fraction(7, 3)])
-        assert all(0 <= coord < 1 for x in sols for coord in x)
+        s, sols = solve_congruence_numerators(a, [-3, 14], 6)
+        assert all(0 <= x < s for point in sols for x in point)
         assert len(sols) == 3
+        assert_solves(a, [Fraction(-1, 2), Fraction(7, 3)], as_fractions(s, sols))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -187,29 +221,19 @@ class TestSolveCongruence:
         det = determinant(rows)
         if det == 0 or abs(det) > 400:
             return
-        assert len(solve_congruence(rows, [0, 0, 0, 0])) == abs(det)
+        assert len(solve_congruence_numerators(rows, [0, 0, 0, 0], 1)[1]) == abs(det)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**30))
     def test_solutions_solve_the_system_and_survive_unimodular_rows(self, seed):
         rng = random.Random(seed)
-        det = 0
-        while not 0 < abs(det) <= 400:
-            a = tuple(tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(4))
-            det = determinant(a)
-        b = [
-            Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 12)))
-            for _ in range(4)
-        ]
-        sols = solve_congruence(a, b)
+        a, det, b, c, q = random_system(rng)
+        sols = as_fractions(*solve_congruence_numerators(a, c, q))
         assert len(sols) == abs(det)
-        for x in sols:
-            assert all(0 <= coord < 1 for coord in x)
-            residue = [sum(c * v for c, v in zip(row, x)) - bi for row, bi in zip(a, b)]
-            assert all(r.denominator == 1 for r in residue)
+        assert_solves(a, b, sols)
         u = random_unimodular(rng)
-        ub = [sum(c * bi for c, bi in zip(row, b)) for row in u]
-        assert solve_congruence(mat_mul(u, a), ub) == sols
+        uc = [sum(k * ci for k, ci in zip(row, c)) for row in u]
+        assert as_fractions(*solve_congruence_numerators(mat_mul(u, a), uc, q)) == sols
 
 
 class TestSolveCongruenceNumerators:
@@ -217,23 +241,17 @@ class TestSolveCongruenceNumerators:
     @given(st.integers(min_value=0, max_value=2**30))
     def test_numerators_over_s_are_the_rational_solutions(self, seed):
         rng = random.Random(seed)
-        det = 0
-        while not 0 < abs(det) <= 400:
-            a = tuple(tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(4))
-            det = determinant(a)
-        b = [
-            Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 12)))
-            for _ in range(4)
-        ]
+        a, det, b, c, q = random_system(rng)
         # Any multiple of the denominators will do, not only their lcm.
-        q = lcm(*(x.denominator for x in b)) * rng.choice((1, 2, 5))
-        c = [x.numerator * (q // x.denominator) for x in b]
-        s, numerators = solve_congruence_numerators(a, c, q)
-        assert s == q * abs(det)
+        k = rng.choice((1, 2, 5))
+        s, numerators = solve_congruence_numerators(a, [x * k for x in c], q * k)
+        assert s == q * k * abs(det)
         assert len(numerators) == len(set(numerators)) == abs(det)
         assert all(0 <= x < s for point in numerators for x in point)
-        divided = frozenset(tuple(Fraction(x, s) for x in point) for point in numerators)
-        assert divided == solve_congruence(a, b)
+        # |det A| distinct solutions are all of them.
+        divided = as_fractions(s, numerators)
+        assert_solves(a, b, divided)
+        assert divided == as_fractions(*solve_congruence_numerators(a, c, q))
 
     def test_singular_compatible_is_infinite(self):
         with pytest.raises(InfiniteSolutionsError):

@@ -393,6 +393,35 @@ class TestTorusQuotient:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
+        "entry, shown",
+        [(1 / 3, "0.3333333333333333"), (0, "0"), (True, "true"), (None, "null")],
+        ids=["float", "int", "bool", "null"],
+    )
+    def test_non_string_translation_entry_exit_3(self, tmp_path, entry, shown):
+        document = {
+            "label": "kummer",
+            "generators": [
+                {
+                    "linear": KUMMER_ACTION["generators"][0]["linear"],
+                    "translation": [entry, "0", "0", "0"],
+                }
+            ],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: malformed action description: "
+            f'translation entry {shown} is not a "p/q" string\n'
+        )
+
+    @pytest.mark.parametrize(
         "generators", [[], [{"linear": ID4, "translation": ["0", "0", "0", "0"]}] * 2],
         ids=["no-generators", "identities"],
     )

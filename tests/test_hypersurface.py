@@ -17,23 +17,14 @@ from cytk.hypersurface import (
     SingularCurve,
     SingularLocusReport,
     c2_lower_bound,
-    contained_edges,
-    contains_no_edge,
     examine,
     is_calabi_yau_degree,
     is_quasismooth,
-    is_smooth_in_codim2,
     is_wellformed_hypersurface,
     singular_locus,
-    stratified_locus,
     _pair_pass,
 )
-from cytk.wps import (
-    CyclicQuotientType,
-    Stratum,
-    WeightSystem,
-    stratum_singularity,
-)
+from cytk.wps import CyclicQuotientType, WeightSystem
 
 X1734 = WeightSystem(1734, (91, 96, 102, 578, 867))
 X120 = WeightSystem(120, (3, 7, 20, 40, 50))
@@ -73,15 +64,7 @@ class TestWeightCount:
 
     @pytest.mark.parametrize(
         "entry",
-        [
-            stratified_locus,
-            c2_lower_bound,
-            lambda ws: stratum_singularity(ws, Stratum((0, 1))),
-            singular_locus,
-            contained_edges,
-            is_smooth_in_codim2,
-            contains_no_edge,
-        ],
+        [examine, c2_lower_bound, singular_locus],
     )
     def test_p4_entry_points_reject_four_weights(self, entry):
         quartic_surface = WeightSystem(4, (1, 1, 1, 1))
@@ -99,19 +82,19 @@ class TestCalabiYauDegree:
 
 class TestContainedEdges:
     def test_x7_contains_the_2_2_edge(self):
-        edges = contained_edges(X7)
+        edges = singular_locus(X7).contained_edges
         assert [(e.zeroed, e.free_weights, e.singular) for e in edges] == [
             ((0, 1, 2), (2, 2), True)
         ]
 
     def test_x56_contains_exactly_one_edge(self):
-        edges = contained_edges(X56)
+        edges = singular_locus(X56).contained_edges
         assert [(e.zeroed, e.free_weights, e.singular) for e in edges] == [
             ((0, 1, 4), (9, 13), False)
         ]
 
     def test_x1734_contains_none(self):
-        assert contained_edges(X1734) == ()
+        assert singular_locus(X1734).contained_edges == ()
 
 
 class TestSingularLocus:
@@ -144,25 +127,25 @@ class TestSingularLocus:
 
 class TestSmoothInCodim2:
     def test_examples(self):
-        assert is_smooth_in_codim2(QUINTIC)
-        assert not is_smooth_in_codim2(X1734)
-        assert not is_smooth_in_codim2(X120)
+        assert singular_locus(QUINTIC).smooth_in_codim2
+        assert not singular_locus(X1734).smooth_in_codim2
+        assert not singular_locus(X120).smooth_in_codim2
 
     def test_x7_not_smooth_via_contained_singular_edge(self):
-        assert not is_smooth_in_codim2(X7)
+        assert not singular_locus(X7).smooth_in_codim2
 
 
 class TestContainsNoEdge:
     def test_examples(self):
-        assert not contains_no_edge(X56)
-        assert contains_no_edge(X1734)
-        assert not contains_no_edge(X7)
+        assert not singular_locus(X56).contains_no_edge
+        assert singular_locus(X1734).contains_no_edge
+        assert not singular_locus(X7).contains_no_edge
 
     def test_no_edge_means_every_pair_partitions(self):
         from cytk.arith import is_partitionable
 
         for ws in (X1734, X120, QUINTIC):
-            if contains_no_edge(ws):
+            if singular_locus(ws).contains_no_edge:
                 w = ws.weights
                 for i, j in combinations(range(5), 2):
                     assert is_partitionable(ws.degree, (w[i], w[j]))
@@ -276,13 +259,11 @@ class TestAgainstAllSubsetsReference:
         assert examine(ws) == reference_examine(ws)
         assert is_quasismooth(ws) == reference_is_quasismooth(ws)
         assert is_wellformed_hypersurface(ws) == reference_is_wellformed(ws)
-        assert stratified_locus(ws) == reference_locus(ws)
 
     def test_worked_examples(self):
         for ws in (X1734, X120, X56, X7, QUINTIC, WeightSystem(9, (1, 1, 3, 3, 7))):
             assert examine(ws) == reference_examine(ws)
             assert is_quasismooth(ws) == reference_is_quasismooth(ws)
-            assert stratified_locus(ws) == reference_locus(ws)
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))
@@ -315,7 +296,7 @@ def test_huge_degree_is_fast():
     ws = WeightSystem(10**12, (1, 2, 3, 5, 7))
     start = time.perf_counter()
     assert is_quasismooth(ws)
-    report = stratified_locus(ws)
+    report = examine(ws)[2]
     assert time.perf_counter() - start < 0.5
     assert report.singular_vertices == (2, 4)
     assert not report.contained_edges

@@ -1,0 +1,73 @@
+"""The package's public names and the boundaries between its modules."""
+
+import ast
+from pathlib import Path
+
+import cytk
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cytk"
+
+
+def dotted(node):
+    """The dotted name of a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def is_module(name):
+    path = PACKAGE.joinpath(*name.split(".")[1:])
+    return name == "cytk" or path.with_suffix(".py").exists()
+
+
+def private_names_from_other_modules(path):
+    """(line, name) of each ``_``-prefixed module-level name of another
+    cytk module that the source at ``path`` imports or reads."""
+    own = f"cytk.{path.stem}" if path.parent == PACKAGE else None
+    bound = {}  # local name -> the cytk module it stands for
+    found = []
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "cytk":
+                    local = alias.asname or "cytk"
+                    bound[local] = alias.name if alias.asname else "cytk"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ("cytk", module)))
+            if module.split(".")[0] != "cytk":
+                continue
+            for alias in node.names:
+                name = f"{module}.{alias.name}"
+                if is_module(name):
+                    bound[alias.asname or alias.name] = name
+                elif alias.name.startswith("_") and module != own:
+                    found.append((node.lineno, name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = dotted(node.value)
+            if owner is None or owner.split(".")[0] not in bound:
+                continue
+            head, _, rest = owner.partition(".")
+            module = ".".join(filter(None, (bound[head], rest)))
+            if is_module(module) and module != own:
+                found.append((node.lineno, f"{module}.{node.attr}"))
+    return found
+
+
+def test_public_names_resolve_and_no_private_name_crosses_modules():
+    assert [name for name in cytk.__all__ if not hasattr(cytk, name)] == []
+    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    crossings = {
+        str(path.relative_to(ROOT)): found
+        for path in sources
+        if (found := private_names_from_other_modules(path))
+    }
+    assert crossings == {}

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk.hypersurface import is_wellformed_hypersurface
-from cytk.wps import (
-    CyclicQuotientType,
-    Stratum,
-    WeightSystem,
-    singular_strata,
-    stratum_singularity,
-)
+from cytk.hypersurface import EdgePointLocus, examine, is_wellformed_hypersurface
+from cytk.wps import CyclicQuotientType, WeightSystem
 
 X1734 = WeightSystem(1734, (91, 96, 102, 578, 867))
 X120 = WeightSystem(120, (3, 7, 20, 40, 50))
@@ -32,22 +26,6 @@ class TestWeightSystem:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             WeightSystem(5, (1, 1, 1, 1, 0))
-
-
-class TestStratum:
-    def test_kinds(self):
-        assert Stratum((0, 1)).kind == "two-face"
-        assert Stratum((0, 1, 2)).kind == "edge"
-        assert Stratum((0, 1, 2, 3)).kind == "vertex"
-
-    def test_free_coordinates(self):
-        assert Stratum((0, 1, 4)).free == (2, 3)
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            Stratum((0,))
-        with pytest.raises(ValueError):
-            Stratum((0, 1, 2, 3, 4))
 
 
 class TestCyclicQuotientType:
@@ -142,76 +120,56 @@ class TestWellformed:
         assert is_wellformed_hypersurface(ws) == expected
 
 
+def two_face_types(ws):
+    """(zeroed coordinates, curve type) of each singular two-face of the
+    general X, as ``examine`` reports them."""
+    return [(c.zeroed, c.quotient) for c in examine(ws)[2].singular_curves]
+
+
 class TestStratumSingularity:
     def test_x1734_two_faces(self):
-        assert stratum_singularity(X1734, Stratum((0, 1))) == CyclicQuotientType(
-            17, (6, 11)
-        )
-        assert stratum_singularity(X1734, Stratum((0, 3))) == CyclicQuotientType(
-            3, (1, 2)
-        )
-        assert stratum_singularity(X1734, Stratum((0, 4))) == CyclicQuotientType(
-            2, (1, 1)
-        )
+        types = dict(two_face_types(X1734))
+        assert types[0, 1] == CyclicQuotientType(17, (6, 11))
+        assert types[0, 3] == CyclicQuotientType(3, (1, 2))
+        assert types[0, 4] == CyclicQuotientType(2, (1, 1))
 
     def test_x120_two_face(self):
-        assert stratum_singularity(X120, Stratum((0, 1))) == CyclicQuotientType(
-            10, (3, 7)
-        )
+        assert dict(two_face_types(X120))[0, 1] == CyclicQuotientType(10, (3, 7))
 
     def test_smooth_ambient_space(self):
-        for zeroed in [(0, 1), (0, 1, 2), (0, 1, 2, 3)]:
-            assert stratum_singularity(QUINTIC, Stratum(zeroed)) is None
+        assert examine(QUINTIC)[2].is_empty
 
     def test_vertex_and_edge_markers(self):
-        assert stratum_singularity(X120, Stratum((1, 2, 3, 4))) == 3
-        assert stratum_singularity(X120, Stratum((0, 1, 2))) == 10  # gcd(40, 50)
+        locus = examine(X120)[2]
+        # the vertices of weights 7 and 50, which do not divide d = 120
+        assert locus.singular_vertices == (1, 4)
+        # the edge of weights 40 and 50 meets X in points of order 10
+        assert EdgePointLocus((0, 1, 2), 10) in locus.edge_point_loci
 
 
 class TestSingularStrata:
     def test_x1734_has_exactly_three_singular_two_faces(self):
-        faces = [
-            (s.zeroed, data)
-            for s, data in singular_strata(X1734)
-            if s.kind == "two-face"
-        ]
-        assert faces == [
+        assert two_face_types(X1734) == [
             ((0, 1), CyclicQuotientType(17, (6, 11))),
             ((0, 3), CyclicQuotientType(3, (1, 2))),
             ((0, 4), CyclicQuotientType(2, (1, 1))),
         ]
 
     def test_smooth_space_is_empty(self):
-        assert singular_strata(QUINTIC) == []
+        assert two_face_types(QUINTIC) == []
 
     def test_x120_strata_match_direct_gcd_evaluation(self):
-        # independent oracle: evaluate the gcd conditions stratum by stratum
-        from itertools import combinations
-        from math import gcd
-
+        # independent oracle: the gcd of the three free weights, face by face
         w = X120.weights
-        expected = set()
-        for zeroed in combinations(range(5), 2):
-            free = [w[i] for i in range(5) if i not in zeroed]
-            m = gcd(gcd(free[0], free[1]), free[2])
-            if m > 1:
-                expected.add(("two-face", zeroed))
-        for zeroed in combinations(range(5), 3):
-            free = [w[i] for i in range(5) if i not in zeroed]
-            if gcd(free[0], free[1]) > 1:
-                expected.add(("edge", zeroed))
-        for zeroed in combinations(range(5), 4):
-            (i,) = [i for i in range(5) if i not in zeroed]
-            if w[i] > 1:
-                expected.add(("vertex", zeroed))
-        got = {(s.kind, s.zeroed) for s, _ in singular_strata(X120)}
-        assert got == expected
-        faces = [z for kind, z in got if kind == "two-face"]
-        assert faces == [(0, 1)]
+        expected = [
+            zeroed
+            for zeroed in combinations(range(5), 2)
+            if gcd(*(w[i] for i in range(5) if i not in zeroed)) > 1
+        ]
+        assert [zeroed for zeroed, _ in two_face_types(X120)] == expected == [(0, 1)]
 
     def test_at_most_ten_singular_two_faces(self):
-        count = sum(1 for s, _ in singular_strata(X1734) if s.kind == "two-face")
-        assert count <= 10
+        assert len(two_face_types(X1734)) <= 10
 
 
 @st.composite
@@ -239,10 +197,6 @@ class TestPermutationInvariance:
         permuted = WeightSystem(ws.degree, tuple(ws.weights[p] for p in perm))
 
         def face_types(system):
-            return sorted(
-                str(data)
-                for s, data in singular_strata(system)
-                if s.kind == "two-face"
-            )
+            return sorted(str(quotient) for _, quotient in two_face_types(system))
 
         assert face_types(ws) == face_types(permuted)
