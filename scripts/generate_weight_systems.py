@@ -17,7 +17,10 @@ denominator, so every solution can be generated in non-decreasing order
 of reduced denominator from three kinds of steps: a self value 1/a, a
 value (1 - v)/a derived from an earlier one, or a whole cycle block; the
 final slot is the forced residual 1 - sum and needs no structure of its
-own.  Candidates are then filtered through the full quasismoothness and
+own.  A cycle block of 2 to 5 values is tabulated for every denominator
+from 2 to the degree cap: its values are w_i/d, so its reduced
+denominator divides d, and d <= cap, so the tables miss no block.
+Candidates are then filtered through the full quasismoothness and
 wellformedness criteria.
 
 Validation targets: 3 systems for 3 weights, 95 for 4 weights, and 7555
@@ -30,7 +33,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections import defaultdict
 from math import gcd, lcm
 from pathlib import Path
 
@@ -45,78 +47,51 @@ from cytk.wps import WeightSystem  # noqa: E402
 # Cycle tables, indexed by the common reduced denominator of the cycle.
 
 
-def two_cycle_table(cap: int) -> dict[int, list[tuple[int, ...]]]:
-    """Pairs {s/den, t/den} with den = g*s*t + s + t, gcd(s, t) = 1.
-
-    This parametrizes every two-cycle exactly: a1 = g*s + 1, a2 = g*t + 1
-    where g = gcd(a1 - 1, a2 - 1)."""
-    table: dict[int, set[tuple[int, ...]]] = defaultdict(set)
-    g = 1
-    while g + 2 <= cap:
-        s = 1
-        while g * s * s + 2 * s <= cap:
-            t = s
-            while True:
-                den = g * s * t + s + t
-                if den > cap:
-                    break
-                if gcd(s, t) == 1:
-                    table[den].add((s, t))
-                t += 1
-            s += 1
-        g += 1
-    return {den: sorted(chains) for den, chains in table.items()}
-
-
-def chain_cycle_table(
-    cap: int, length: int, slots: int, den_cap: int | None = None
-) -> dict[int, list[tuple[int, ...]]]:
+def chain_cycles(den: int, length: int, slots: int) -> list[tuple[int, ...]]:
     """Cycles of ``length`` linked values n_i/den: a_i * n_i = den - n_{i+1}
     cyclically, with every a_i >= 2 and every n_i in [1, den/2] coprime to
     den.  Chains are anchored at their minimal numerator.
 
     When the cycle fills all ``slots`` the numerators sum to den exactly;
     with one slot left over the sum lies in [den/2, den - 1]."""
-    den_cap = min(cap, den_cap or cap)
-    table: dict[int, set[tuple[int, ...]]] = defaultdict(set)
-    for den in range(2, den_cap + 1):
-        coprime = bytearray(gcd(i, den) == 1 for i in range(den))
-        half = den // 2
-        if length == slots:
-            sum_lo, sum_hi = den, den
-        elif length == slots - 1:
-            sum_lo, sum_hi = (den + 1) // 2, den - 1
-        else:
-            sum_lo, sum_hi = length, den - 1
+    cycles: set[tuple[int, ...]] = set()
+    coprime = bytearray(gcd(i, den) == 1 for i in range(den))
+    half = den // 2
+    if length == slots:
+        sum_lo, sum_hi = den, den
+    elif length == slots - 1:
+        sum_lo, sum_hi = (den + 1) // 2, den - 1
+    else:
+        sum_lo, sum_hi = length, den - 1
 
-        def extend(path: list[int], total: int) -> None:
-            n_first, n_last = path[0], path[-1]
-            if len(path) == length:
-                if not sum_lo <= total <= sum_hi:
-                    return
-                rest = den - n_first
-                if rest % n_last == 0 and rest // n_last >= 2:
-                    table[den].add(tuple(sorted(path)))
+    def extend(path: list[int], total: int) -> None:
+        n_first, n_last = path[0], path[-1]
+        if len(path) == length:
+            if not sum_lo <= total <= sum_hi:
                 return
-            slots_after = length - len(path)
-            hi_next = min(half, den - 2 * n_last, sum_hi - total - (slots_after - 1))
-            if hi_next < n_first:
-                return
-            a = -(-(den - hi_next) // n_last)
-            while True:
-                nxt = den - a * n_last
-                if nxt < n_first:
-                    break
-                if coprime[nxt]:
-                    path.append(nxt)
-                    extend(path, total + nxt)
-                    path.pop()
-                a += 1
+            rest = den - n_first
+            if rest % n_last == 0 and rest // n_last >= 2:
+                cycles.add(tuple(sorted(path)))
+            return
+        slots_after = length - len(path)
+        hi_next = min(half, den - 2 * n_last, sum_hi - total - (slots_after - 1))
+        if hi_next < n_first:
+            return
+        a = -(-(den - hi_next) // n_last)
+        while True:
+            nxt = den - a * n_last
+            if nxt < n_first:
+                break
+            if coprime[nxt]:
+                path.append(nxt)
+                extend(path, total + nxt)
+                path.pop()
+            a += 1
 
-        for n1 in range(1, half + 1):
-            if coprime[n1]:
-                extend([n1], n1)
-    return {den: sorted(chains) for den, chains in table.items()}
+    for n1 in range(1, half + 1):
+        if coprime[n1]:
+            extend([n1], n1)
+    return sorted(cycles)
 
 
 def _divisors(n: int) -> list[int]:
@@ -134,24 +109,16 @@ def _divisors(n: int) -> list[int]:
 # ----------------------------------------------------------------------
 # Denominator-ordered depth-first search.
 
-# Largest common denominator tabulated for cycle blocks of 4 and 5 linked
-# values; blocks of 3 go up to the degree cap.  The long tables cost the
-# most to build.  This is a search limit, not a proven bound: a long cycle
-# over a larger denominator is not generated.
-LONG_CYCLE_DEN_CAP = 1500
-
 
 class Enumerator:
     def __init__(self, slots: int, cap: int):
         self.slots = slots
         self.cap = cap
         self.solutions: set[tuple[int, tuple[int, ...]]] = set()
-        self.tables: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-        if slots >= 2:
-            self.tables[2] = two_cycle_table(cap)
-        for length in range(3, slots + 1):
-            den_cap = cap if length <= 3 else LONG_CYCLE_DEN_CAP
-            self.tables[length] = chain_cycle_table(cap, length, slots, den_cap)
+        self.tables = {
+            length: {den: chain_cycles(den, length, slots) for den in range(2, cap + 1)}
+            for length in range(2, slots + 1)
+        }
 
     def run(self) -> None:
         self._descend([], 1, 0, 1)
@@ -244,7 +211,7 @@ class Enumerator:
             if size > left:
                 continue
             for den in dens:
-                for nums in table.get(den, ()):
+                for nums in table[den]:
                     try_batch([(num, den) for num in nums])
 
 

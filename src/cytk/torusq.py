@@ -544,6 +544,14 @@ def builtin_action(name: str) -> TorusAction:
     return close_group(_BUILTINS[name], label=name)
 
 
+def _json_list(value: object, what: str) -> list:
+    """A part of the description that JSON must give as an array: a string
+    is not read character by character, nor an object by its keys."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} {json.dumps(value)} is not a list")
+    return value
+
+
 def _linear_entry(value: object) -> int:
     """A linear-part entry, which JSON must give as an integer: a float is
     not truncated and ``true`` is not read as 1."""
@@ -572,10 +580,16 @@ def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
             raise TypeError(f"label must be a string, got {label!r}")
         generators = [
             AffineTorusMap(
-                tuple(tuple(_linear_entry(x) for x in row) for row in entry["linear"]),
-                tuple(_translation_entry(t) for t in entry["translation"]),
+                tuple(
+                    tuple(_linear_entry(x) for x in _json_list(row, "linear row"))
+                    for row in _json_list(entry["linear"], "linear part")
+                ),
+                tuple(
+                    _translation_entry(t)
+                    for t in _json_list(entry["translation"], "translation")
+                ),
             )
-            for entry in data["generators"]
+            for entry in _json_list(data["generators"], "generators")
         ]
     except ZeroDivisionError as exc:
         raise ActionValidationError(

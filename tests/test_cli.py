@@ -352,8 +352,22 @@ class TestTorusQuotient:
             },
             {**KUMMER_ACTION, "label": 7},
             {**KUMMER_ACTION, "label": None},
+            *(
+                {
+                    "generators": [
+                        {
+                            "linear": KUMMER_ACTION["generators"][0]["linear"],
+                            "translation": translation,
+                        }
+                    ]
+                }
+                for translation in ("0000", {"1/2": 0, "0": 1, "2/3": 2, "5": 3})
+            ),
         ],
-        ids=["top-level-list", "zero-denominator", "int-label", "null-label"],
+        ids=[
+            "top-level-list", "zero-denominator", "int-label", "null-label",
+            "string-translation", "object-translation",
+        ],
     )
     def test_malformed_description_exit_3(self, tmp_path, document):
         bad = tmp_path / "bad.json"

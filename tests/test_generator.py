@@ -1,12 +1,18 @@
 """The weight-system generator, run as a script: its counts for three and
-four weights, and its five-weight output against the shipped KS list."""
+four weights, and its five-weight output against the shipped KS list; and
+its cycle tables, against a closed form and a system only a long cycle
+reaches."""
 
 import importlib.util
+import json
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
+
+from cytk.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "generate_weight_systems.py"
@@ -19,6 +25,14 @@ def generate(*args: str) -> str:
         capture_output=True, text=True, check=True, timeout=120,
     )
     return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def generator():
+    spec = importlib.util.spec_from_file_location("generate_weight_systems", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def records(path: Path) -> list[tuple[int, ...]]:
@@ -67,11 +81,44 @@ def test_five_weight_counts_up_to_degree_150():
     ],
     ids=["failures", "short-total"],
 )
-def test_stats_fail_unless_every_record_reads_back(monkeypatch, capsys, formatter):
-    spec = importlib.util.spec_from_file_location("generate_weight_systems", SCRIPT)
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
+def test_stats_fail_unless_every_record_reads_back(
+    generator, monkeypatch, capsys, formatter
+):
     monkeypatch.setattr(generator, "format_record", formatter)
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--cap", "30", "--stats"])
     assert generator.main() == 1
     assert "error: the census read" in capsys.readouterr().err
+
+
+def two_cycles(den: int) -> set[tuple[int, int]]:
+    """Pairs {s/den, t/den} linked both ways, in closed form: a1 = g*s + 1
+    and a2 = g*t + 1 with g = gcd(a1 - 1, a2 - 1), so den = g*s*t + s + t
+    with gcd(s, t) = 1."""
+    return {
+        (s, t)
+        for s in range(1, den)
+        if s * s + 2 * s <= den
+        for t in range(s, den - s)
+        if (den - s - t) % (s * t) == 0 and gcd(s, t) == 1
+    }
+
+
+def test_two_cycle_blocks_match_closed_form(generator):
+    for den in range(2, 401):
+        assert set(generator.chain_cycles(den, 2, 5)) == two_cycles(den), den
+
+
+def test_four_cycle_over_1552_reaches_its_only_system(generator, capsys):
+    # 19 -> 507 -> 31 -> 219 -> 19: each divides 1552 - (the next), and
+    # no self or derived step reaches any of them, so only this block
+    # produces (1552; 19, 31, 219, 507, 776).
+    assert (19, 31, 219, 507) in generator.chain_cycles(1552, 4, 5)
+    assert main(["analyze", "1552", "19", "31", "219", "507", "776", "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["wellformed"] and document["quasismooth"]
+    assert document["calabi_yau"]
+    assert not document["smooth_in_codim2"]
+    assert document["contained_edges"] == [
+        {"zeroed": [0, 1, 4], "free_weights": [219, 507], "singular": True}
+    ]
+    assert document["singular_curves"] == []

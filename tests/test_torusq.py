@@ -37,6 +37,7 @@ HALF = Fraction(1, 2)
 ZERO4 = (Fraction(0),) * 4
 NEG_ID = tuple(tuple(-int(i == j) for j in range(4)) for i in range(4))
 ID4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+NEG_ID_JSON = [list(row) for row in NEG_ID]
 
 EXPECTED_FIXED_POINTS = {2: 16, 3: 9, 4: 4, 6: 1}
 
@@ -371,6 +372,36 @@ class TestActionIO:
     def test_malformed_description_rejected(self):
         with pytest.raises(ActionValidationError):
             action_from_json({"generators": [{"linear": [[1]]}]})
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ("[]", 'generators "[]" is not a list'),
+            (
+                [{"linear": "1000", "translation": ["0"] * 4}],
+                'linear part "1000" is not a list',
+            ),
+            (
+                [{"linear": ["-1000"] * 4, "translation": ["0"] * 4}],
+                'linear row "-1000" is not a list',
+            ),
+            (
+                [{"linear": NEG_ID_JSON, "translation": "0000"}],
+                'translation "0000" is not a list',
+            ),
+            (
+                [{"linear": NEG_ID_JSON, "translation": {"1/2": 0, "0": 1, "2/3": 2, "5": 3}}],
+                'translation {"1/2": 0, "0": 1, "2/3": 2, "5": 3} is not a list',
+            ),
+        ],
+        ids=["generators", "linear", "row", "string-translation", "object-translation"],
+    )
+    def test_json_arrays_must_be_lists(self, generators, message):
+        """A string is not read character by character, nor an object by its
+        keys: -I with either translation would be accepted as 16A1."""
+        with pytest.raises(ActionValidationError) as info:
+            action_from_json({"generators": generators})
+        assert str(info.value) == f"malformed action description: {message}"
 
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
