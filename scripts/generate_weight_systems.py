@@ -75,12 +75,14 @@ def chain_cycles(den: int, length: int, slots: int) -> list[tuple[int, ...]]:
             return
         slots_after = length - len(path)
         hi_next = min(half, den - 2 * n_last, sum_hi - total - (slots_after - 1))
-        if hi_next < n_first:
+        # Every later numerator is at most den/2.
+        lo_next = max(n_first, sum_lo - total - (slots_after - 1) * half)
+        if hi_next < lo_next:
             return
         a = -(-(den - hi_next) // n_last)
         while True:
             nxt = den - a * n_last
-            if nxt < n_first:
+            if nxt < lo_next:
                 break
             if coprime[nxt]:
                 path.append(nxt)

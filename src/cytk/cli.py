@@ -295,7 +295,7 @@ def _cmd_torus(args: argparse.Namespace) -> int:
         if args.builtin:
             action = torusq.builtin_action(args.builtin)
         else:
-            action = torusq.load_action(args.file, cap=args.cap)
+            action = torusq.load_action(args.file)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -378,13 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--file", metavar="PATH", help="JSON action description")
     group.add_argument(
         "--list-builtins", action="store_true", help="list the named actions"
-    )
-    torus.add_argument(
-        "--cap",
-        type=_positive_int,
-        default=torusq.DEFAULT_CAP,
-        help="largest group order accepted from --file (default %(default)s); "
-        "builtin actions are not capped",
     )
     torus.add_argument("--json", action="store_true", help="emit a JSON report")
     torus.set_defaults(handler=_cmd_torus)

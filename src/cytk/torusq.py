@@ -8,27 +8,26 @@ no non-trivial translations, at most one involution, and linear parts whose
 characteristic polynomial is the realification of an SL(2,C) element of the
 right order.  The complex structure itself is never represented.
 
-Translations and points are tuples of Fraction at the interface only.  An
-action works over one denominator D, the lcm of its generators' translation
-denominators: an integral M maps (1/D) Z^4 into itself, so every element is
-a pair (M, numerators of t over D) of integer tuples.  The closure, the
-order walk and the orbits run on those tuples, and the action keeps them
-with D; a Fraction is built for each orbit's representative, and for each
-element's translation only when ``TorusAction.elements`` is read.  Fixed
-points come from
-``arith.solve_congruence_numerators`` as integer numerators, which are
-lifted to one common denominator with the translations by integer
-multiplies; no Fraction is built or hashed between the fixed points and
-the reply.
+Generators are read as pairs of an integer matrix and a tuple of Fraction.
+An action works over one denominator D, the lcm of its generators'
+translation denominators: an integral M maps (1/D) Z^4 into itself, so every
+element is a pair (M, numerators of t over D) of integer tuples.  The
+closure, the order walk, the fixed points and the orbits run on those
+tuples only.  Fixed points come from ``arith.solve_congruence_numerators``
+as integer numerators, which are lifted to one common denominator with the
+translations by integer multiplies; a Fraction is built only for each
+orbit's representative, and for each element's translation when
+``TorusAction.elements`` is read.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from cytk.arith import (
     InfiniteSolutionsError,
@@ -43,7 +42,11 @@ Point = tuple[Fraction, Fraction, Fraction, Fraction]
 # Numerators of a translation or a point over its action's denominator.
 Numerators = tuple[int, ...]
 
-DEFAULT_CAP = 48
+# The largest closure accepted.  A valid group is a finite subgroup of
+# SL(2,C) with element orders in {1, 2, 3, 4, 6}: cyclic, binary dihedral
+# of order 8 or 12, or binary tetrahedral, so it has at most 24 elements,
+# and the bound only stops the closure of an infinite group.
+CAP = 48
 ALLOWED_ORDERS = frozenset({1, 2, 3, 4, 6})
 
 # The realifications of SL(2,C) elements of each finite order, (x-1)^4,
@@ -87,12 +90,6 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _numerators(values: Iterable[Fraction], den: int) -> Numerators:
-    """The numerators of ``values`` over ``den``, a multiple of their
-    denominators."""
-    return tuple(x.numerator * (den // x.denominator) for x in values)
-
-
 def _image(
     linear: IntMatrix, shift: Numerators, vector: Numerators, den: int
 ) -> Numerators:
@@ -113,33 +110,24 @@ def _image(
     )
 
 
-def _power_traces(
-    linear: IntMatrix, shift: Numerators, den: int, cap: int
-) -> Optional[list[int]]:
-    """The traces of M, M^2, ..., M^n for g = (M, t) of order n <= cap, t
-    given by its numerators over den; None when g has no order <= cap."""
+def _power_traces(linear: IntMatrix, shift: Numerators, den: int) -> list[int]:
+    """The traces of M, M^2, ..., M^n for g = (M, t) of finite order n, t
+    given by its numerators over den."""
     power, power_shift = linear, shift
     traces = []
-    while len(traces) < cap:
+    while True:
         traces.append(power[0][0] + power[1][1] + power[2][2] + power[3][3])
         if power == _IDENTITY and not any(power_shift):
             return traces
         power_shift = _image(power, power_shift, shift, den)
         power = _mat_mul(power, linear)
-    return None
-
-
-def _affine_image(linear: IntMatrix, shift: Point, vector: Sequence[Fraction]) -> Point:
-    """M v + t mod Z^4, over the lcm of the denominators of v and t."""
-    den = lcm(*(x.denominator for x in shift), *(x.denominator for x in vector))
-    image = _image(linear, _numerators(shift, den), _numerators(vector, den), den)
-    return tuple(Fraction(x, den) for x in image)
 
 
 @dataclass(frozen=True)
 class AffineTorusMap:
-    """A lattice automorphism x -> M x + t of the torus R^4 / Z^4, with M
-    integral of determinant +-1 and t taken mod Z^4."""
+    """A generator x -> M x + t of the torus R^4 / Z^4 as read, with M
+    integral of determinant +-1 and t taken mod Z^4.  Groups are closed
+    and solved on the integer pairs of ``TorusAction.table``."""
 
     linear: IntMatrix
     translation: Point
@@ -165,34 +153,6 @@ class AffineTorusMap:
         object.__setattr__(g, "translation", translation)
         return g
 
-    @classmethod
-    def identity(cls) -> "AffineTorusMap":
-        return cls._trusted(_IDENTITY, _ZERO)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.linear == _IDENTITY and not any(self.translation)
-
-    def __mul__(self, other: "AffineTorusMap") -> "AffineTorusMap":
-        """Composition self o other: (M1, t1)(M2, t2) = (M1 M2, M1 t2 + t1).
-        |det(M1 M2)| = 1 and the translation comes out reduced, so the
-        product skips the constructor's checks."""
-        return AffineTorusMap._trusted(
-            _mat_mul(self.linear, other.linear),
-            _affine_image(self.linear, self.translation, other.translation),
-        )
-
-    def apply(self, point: Sequence[Fraction]) -> Point:
-        return _affine_image(self.linear, self.translation, point)
-
-    def order(self, cap: int = DEFAULT_CAP) -> int:
-        den = lcm(*(t.denominator for t in self.translation))
-        shift = _numerators(self.translation, den)
-        traces = _power_traces(self.linear, shift, den, cap)
-        if traces is None:
-            raise ActionValidationError(f"element order exceeds {cap}")
-        return len(traces)
-
 
 def _fixed_numerators(
     linear: IntMatrix, shift: Numerators, den: int
@@ -212,16 +172,6 @@ def _fixed_numerators(
         return den, []
     except InfiniteSolutionsError:
         raise InfiniteSolutionsError("infinitely many fixed points")
-
-
-def fixed_points(g: AffineTorusMap) -> frozenset[Point]:
-    """The fixed points of g on the torus: solutions of (M - I) x = -t
-    mod Z^4.  Finite with exactly |det(M - I)| elements when M - I is
-    non-singular; raises InfiniteSolutionsError for a compatible singular
-    system (g then fixes a positive-dimensional set)."""
-    den = lcm(*(t.denominator for t in g.translation))
-    s, points = _fixed_numerators(g.linear, _numerators(g.translation, den), den)
-    return frozenset(tuple(Fraction(x, s) for x in point) for point in points)
 
 
 @dataclass(frozen=True)
@@ -251,23 +201,19 @@ class TorusAction:
         return len(self.table)
 
 
-def close_group(
-    generators: Iterable[AffineTorusMap],
-    label: str = "",
-    cap: int = DEFAULT_CAP,
-) -> TorusAction:
+def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusAction:
     """Close the generators under composition and validate the result.
 
     The closure is breadth-first: each element, starting from the identity,
     is multiplied on the right by each generator once.  A group G thus
     costs |G|*|gens| products, an element reached by a word of length k has
     entries of bit size O(k), and an infinite group is rejected after at
-    most (cap + 1)*|gens| products.  Each element's order is then found by
+    most (CAP + 1)*|gens| products.  Each element's order is then found by
     walking its powers, once, and kept on the action; the walk's traces
     give the power sums that identify the characteristic polynomial.  All
     of it runs on integer tuples over the generators' common denominator.
 
-    Raises ActionValidationError when the closure exceeds ``cap`` elements,
+    Raises ActionValidationError when the closure exceeds ``CAP`` elements,
     is the trivial group, contains several involutions, contains a
     non-trivial translation, has an element of order outside {1,2,3,4,6},
     or has a linear part that is not the realification of an SL(2,C)
@@ -275,7 +221,10 @@ def close_group(
     """
     generators = tuple(generators)
     den = lcm(*(t.denominator for g in generators for t in g.translation))
-    steps = [(g.linear, _numerators(g.translation, den)) for g in generators]
+    steps = [
+        (g.linear, tuple(t.numerator * (den // t.denominator) for t in g.translation))
+        for g in generators
+    ]
     identity = (_IDENTITY, (0, 0, 0, 0))
     elements = {identity}
     queue = [identity]
@@ -284,19 +233,17 @@ def close_group(
             product = (_mat_mul(linear, step), _image(linear, shift, step_shift, den))
             if product not in elements:
                 elements.add(product)
-                if len(elements) > cap:
-                    raise ActionValidationError(f"not finite within cap {cap}")
+                if len(elements) > CAP:
+                    raise ActionValidationError(f"not finite within cap {CAP}")
                 queue.append(product)
     if len(elements) == 1:
         raise ActionValidationError("trivial group: the quotient is the torus itself")
 
     # Numerators over one denominator sort as the fractions they stand for.
     ordered = sorted(elements)
-    # In a finite group every order is at most |G|, and the involutions
-    # are exactly the elements of order 2.
-    walks = [
-        _power_traces(linear, shift, den, len(ordered)) for linear, shift in ordered
-    ]
+    # Every element of the finite group has finite order, and the
+    # involutions are exactly the elements of order 2.
+    walks = [_power_traces(linear, shift, den) for linear, shift in ordered]
     orders = tuple(map(len, walks))
     involutions = orders.count(2)
     if involutions > 1:
@@ -560,15 +507,19 @@ def _linear_entry(value: object) -> int:
     return value
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _translation_entry(value: object) -> Fraction:
-    """A translation coordinate, which JSON must give as a "p/q" string: a
-    float is not read as the binary fraction it rounds to."""
-    if not isinstance(value, str):
+    """A translation coordinate, which JSON must give as an integer or "p/q"
+    string: a float is not read as the binary fraction it rounds to, and an
+    exponent such as "1e-5000" is not expanded to its digits."""
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         raise TypeError(f'translation entry {json.dumps(value)} is not a "p/q" string')
     return Fraction(value)
 
 
-def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
+def action_from_json(data: dict) -> TorusAction:
     """Build a validated action from the JSON form
     {"label": str, "generators": [{"linear": [[int;4];4],
     "translation": ["p/q";4]}]}."""
@@ -597,13 +548,14 @@ def action_from_json(data: dict, cap: int = DEFAULT_CAP) -> TorusAction:
         ) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ActionValidationError(f"malformed action description: {exc}") from exc
-    return close_group(generators, label=label, cap=cap)
+    return close_group(generators, label=label)
 
 
-def load_action(path: str, cap: int = DEFAULT_CAP) -> TorusAction:
+def load_action(path: str) -> TorusAction:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # A RecursionError is the decoder's answer to deep nesting.
             raise ActionValidationError(f"invalid JSON: {exc}") from exc
-    return action_from_json(data, cap=cap)
+    return action_from_json(data)

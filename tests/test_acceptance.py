@@ -8,10 +8,11 @@ three-record sample when data/kreuzer_skarke_wp4.txt is absent.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
-from cytk.arith import determinant, is_partitionable
+from cytk.arith import determinant, is_partitionable, solve_congruence_numerators
 from cytk.census import census_lines
 from cytk.cli import main
 from cytk.hypersurface import (
@@ -35,7 +36,6 @@ from cytk.torusq import (
     BUILTIN_EXPECTED,
     AffineTorusMap,
     builtin_actions,
-    fixed_points,
     quotient_singularities,
 )
 from cytk.wps import CyclicQuotientType, WeightSystem
@@ -124,6 +124,13 @@ def test_criterion_3_c2_suite():
 EXPECTED_FIXED_POINTS = {2: 16, 3: 9, 4: 4, 6: 1}
 
 
+def fixed_point_count(linear, shift, den):
+    """The number of x with M x + t = x mod Z^4, t given by its numerators
+    over den: the solutions of (M - I) x = -t."""
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(linear)]
+    return len(solve_congruence_numerators(a, [-t for t in shift], den)[1])
+
+
 def test_criterion_4_torus_quotients():
     actions = builtin_actions()
     assert len(actions) == 10
@@ -133,9 +140,10 @@ def test_criterion_4_torus_quotients():
         report_data = quotient_singularities(action)
         assert report_data.multiset == BUILTIN_EXPECTED[action.label]
         assert orbifold_c2(report_data.multiset) == 0
-        for g in action.elements:
-            if not g.is_identity:
-                assert len(fixed_points(g)) == EXPECTED_FIXED_POINTS[g.order()]
+        for (linear, shift), n in zip(action.table, action.orders):
+            if n > 1:
+                count = fixed_point_count(linear, shift, action.denominator)
+                assert count == EXPECTED_FIXED_POINTS[n]
     report(
         "criterion 4 (torus quotients)",
         "ten actions validated; fixed points 16/9/4/1 by order; "
@@ -162,7 +170,9 @@ def test_criterion_5a_fixed_point_counts_on_random_maps():
             Fraction(rng.randrange(q), q) for q in (rng.choice((1, 2, 3, 4, 6)) for _ in range(4))
         )
         g = AffineTorusMap(tuple(tuple(row) for row in m), translation)
-        assert len(fixed_points(g)) == abs(det)
+        den = lcm(*(t.denominator for t in g.translation))
+        shift = [t.numerator * (den // t.denominator) for t in g.translation]
+        assert fixed_point_count(g.linear, shift, den) == abs(det)
         checked += 1
     report("criterion 5a (fixed points = |det(M-I)|)", "200 random valid maps")
 

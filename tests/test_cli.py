@@ -29,6 +29,16 @@ KUMMER_ACTION = {
 
 ID4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
+# An infinite group: its closure stops at the bound of 48 elements.
+SHEAR_ACTION = {
+    "generators": [
+        {
+            "linear": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            "translation": ["0", "0", "0", "0"],
+        }
+    ]
+}
+
 # Reports of the builtin actions, text and --json, one file each.
 TORUS_GOLDEN = Path(__file__).resolve().parent / "data" / "torus"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -361,12 +371,18 @@ class TestTorusQuotient:
                         }
                     ]
                 }
-                for translation in ("0000", {"1/2": 0, "0": 1, "2/3": 2, "5": 3})
+                for translation in (
+                    "0000",
+                    {"1/2": 0, "0": 1, "2/3": 2, "5": 3},
+                    ["1e-5000", "0", "0", "0"],
+                    ["0.5", "0", "0", "0"],
+                )
             ),
         ],
         ids=[
             "top-level-list", "zero-denominator", "int-label", "null-label",
-            "string-translation", "object-translation",
+            "string-translation", "object-translation", "exponent-translation",
+            "decimal-translation",
         ],
     )
     def test_malformed_description_exit_3(self, tmp_path, document):
@@ -472,27 +488,25 @@ class TestTorusQuotient:
         assert code == 3
         assert "translation" in err
 
-    @pytest.mark.parametrize("cap", ["0", "-1", "x"])
-    def test_cap_below_one_exit_2(self, capsys, tmp_path, cap):
-        action = tmp_path / "kummer.json"
-        action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
+    def test_infinite_group_exit_3_at_the_fixed_bound(self, capsys, tmp_path):
+        action = tmp_path / "shear.json"
+        action.write_text(json.dumps(SHEAR_ACTION), encoding="utf-8")
+        code, out, err = run_cli(capsys, "torus-quotient", "--file", str(action))
+        assert (code, out, err) == (3, "", "error: not finite within cap 48\n")
         with pytest.raises(SystemExit) as exit_info:
-            main(["torus-quotient", "--file", str(action), "--cap", cap])
+            main(["torus-quotient", "--file", str(action), "--cap", "100"])
         assert exit_info.value.code == 2
-        assert "--cap" in capsys.readouterr().err
+        assert "unrecognized arguments: --cap 100" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["torus-quotient", "--help"])
+        assert "--cap" not in capsys.readouterr().out
 
-    def test_cap_bounds_file_closures_only(self, capsys, tmp_path):
-        action = tmp_path / "kummer.json"
-        action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
-        code, out, _ = run_cli(capsys, "torus-quotient", "--file", str(action), "--cap", "2")
-        assert code == 0 and "16A1" in out
-        code, _, err = run_cli(capsys, "torus-quotient", "--file", str(action), "--cap", "1")
-        assert code == 3 and "not finite within cap 1" in err
-        _, plain, _ = run_cli(capsys, "torus-quotient", "--builtin", "bt24-linear")
-        code, capped, _ = run_cli(
-            capsys, "torus-quotient", "--builtin", "bt24-linear", "--cap", "1"
-        )
-        assert code == 0 and capped == plain
+    def test_deeply_nested_file_exit_3(self, capsys, tmp_path):
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 10**5 + "]" * 10**5, encoding="utf-8")
+        code, out, err = run_cli(capsys, "torus-quotient", "--file", str(bad))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -575,13 +589,14 @@ class TestSharedParser:
         assert code == 0 and out.startswith("X_56 in P(2, 4, 9, 13, 28)\n")
         assert "  wellformed:        yes" in out
 
+        shear = tmp_path / "shear.json"
+        shear.write_text(json.dumps(SHEAR_ACTION), encoding="utf-8")
+        code, _, err = run_cli(capsys, "torus-quotient", "--file", str(shear), "--json")
+        assert code == 3 and "not finite within cap 48" in err
         action = tmp_path / "kummer.json"
         action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
-        code, _, err = run_cli(capsys, "torus-quotient", "--file", str(action), "--cap", "1")
-        assert code == 3 and "not finite within cap 1" in err
-        assert cli._PARSER.parse_args(["torus-quotient", "--file", str(action)]).cap == 48
         code, out, _ = run_cli(capsys, "torus-quotient", "--file", str(action))
-        assert code == 0 and "16A1" in out
+        assert code == 0 and out.startswith("action kummer: group of order 2\n")
 
         with pytest.raises(SystemExit) as exit_info:
             main(["surface"])
@@ -609,7 +624,7 @@ class TestSharedParser:
             ["surface", "2A3+11A1", "--json"],
             ["enumerate-zero-c2"],
             ["torus-quotient", "--builtin", "kummer"],
-            ["torus-quotient", "--file", "a.json", "--cap", "7", "--json"],
+            ["torus-quotient", "--file", "a.json", "--json"],
             ["torus-quotient", "--list-builtins"],
         ]
         serial = [cli._PARSER.parse_args(argv) for argv in argvs]
@@ -635,7 +650,8 @@ class TestSharedParser:
         for own in results:
             assert len(own) == 100
             assert all(parsed == serial for parsed in own)
-        assert serial[7].cap == 7 and serial[6].cap == torusq.DEFAULT_CAP
+        assert serial[7].json and serial[7].file == "a.json"
+        assert not serial[6].json and serial[6].builtin == "kummer"
 
 
 def test_module_entry_point():

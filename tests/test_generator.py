@@ -122,3 +122,13 @@ def test_four_cycle_over_1552_reaches_its_only_system(generator, capsys):
         {"zeroed": [0, 1, 4], "free_weights": [219, 507], "singular": True}
     ]
     assert document["singular_curves"] == []
+
+
+def test_cycle_tables_keep_every_block(generator):
+    # Block counts over den 2-399, pinned so that no pruning of the chain
+    # search can drop a block unnoticed.
+    counts = {
+        length: sum(len(generator.chain_cycles(den, length, 5)) for den in range(2, 400))
+        for length in (3, 4, 5)
+    }
+    assert counts == {3: 8954, 4: 12419, 5: 211}

@@ -1,13 +1,19 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk.arith import InfiniteSolutionsError, determinant
+from cytk.arith import (
+    InfiniteSolutionsError,
+    NoSolutionError,
+    determinant,
+    solve_congruence_numerators,
+)
 from cytk.surface import DuValMultiset, orbifold_c2
 from cytk.torusq import (
     _L8_A,
@@ -20,15 +26,16 @@ from cytk.torusq import (
     _MUL_W,
     _SWAP,
     _block_diag,
+    _linear,
+    _power_traces,
     BUILTIN_EXPECTED,
-    DEFAULT_CAP,
+    CAP,
     ActionValidationError,
     AffineTorusMap,
     action_from_json,
     builtin_action,
     builtin_actions,
     close_group,
-    fixed_points,
     load_action,
     quotient_singularities,
 )
@@ -38,8 +45,61 @@ ZERO4 = (Fraction(0),) * 4
 NEG_ID = tuple(tuple(-int(i == j) for j in range(4)) for i in range(4))
 ID4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 NEG_ID_JSON = [list(row) for row in NEG_ID]
+IDENTITY = (ID4, ZERO4)
 
 EXPECTED_FIXED_POINTS = {2: 16, 3: 9, 4: 4, 6: 1}
+
+
+# ----------------------------------------------------------------------
+# A reference in Fraction arithmetic on (linear, translation) pairs.
+
+
+def _mul4(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+        for i in range(4)
+    )
+
+
+def _affine(m, t, v):
+    """m v + t mod Z^4 in Fraction arithmetic."""
+    return tuple(
+        (sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) + s) % 1
+        for row, s in zip(m, t)
+    )
+
+
+def pair(g):
+    return g.linear, g.translation
+
+
+def compose(g, h):
+    """g o h on pairs: (M1, t1)(M2, t2) = (M1 M2, M1 t2 + t1)."""
+    return _mul4(g[0], h[0]), _affine(g[0], g[1], h[1])
+
+
+def power(g, n):
+    result = IDENTITY
+    for _ in range(n):
+        result = compose(result, g)
+    return result
+
+
+def order(g):
+    """The least n >= 1 with g^n the identity, for g of order at most 12."""
+    return next(n for n in range(1, 13) if power(g, n) == IDENTITY)
+
+
+def fixed_points(g):
+    """The fixed points of g = (M, t) on the torus, as Fraction tuples: the
+    solutions of (M - I) x = -t mod Z^4 from
+    arith.solve_congruence_numerators, over the denominator of t."""
+    linear, translation = g
+    den = lcm(*(t.denominator for t in translation))
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(linear)]
+    c = [-t.numerator * (den // t.denominator) for t in translation]
+    s, points = solve_congruence_numerators(a, c, den)
+    return {tuple(Fraction(x, s) for x in point) for point in points}
 
 
 def minus_identity(translation=ZERO4):
@@ -56,55 +116,61 @@ class TestAffineTorusMap:
         assert g.translation == (HALF, Fraction(3, 4), 0, 0)
 
     def test_composition_rule(self):
-        g = minus_identity()
-        h = AffineTorusMap(ID4, (HALF, 0, 0, 0))
-        # (M1,t1)(M2,t2) = (M1 M2, M1 t2 + t1)
-        assert (g * h).translation == (HALF, 0, 0, 0)
-        assert (g * h).linear == NEG_ID
+        # (M1,t1)(M2,t2) = (M1 M2, M1 t2 + t1): the closure of a and b'
+        # holds a b' = (AB, A t_b) and b' a = (BA, t_b).
+        a, b_shift = _linear(_L8_A), AffineTorusMap(_L8_B, _L8_SHIFT_B)
+        table = {pair(g) for g in close_group([a, b_shift]).elements}
+        a_b = (_mul4(a.linear, b_shift.linear), _affine(a.linear, ZERO4, _L8_SHIFT_B))
+        b_a = (_mul4(b_shift.linear, a.linear), _L8_SHIFT_B)
+        assert compose(pair(a), pair(b_shift)) == a_b and a_b in table
+        assert compose(pair(b_shift), pair(a)) == b_a and b_a in table
+        assert all(compose(g, h) in table for g in table for h in table)
 
     def test_order(self):
-        assert minus_identity().order() == 2
-        assert AffineTorusMap.identity().order() == 1
+        def order_of(linear, shift=(0, 0, 0, 0), den=1):
+            """The order of (M, t), t given by its numerators over den."""
+            return len(_power_traces(linear, shift, den))
+
+        assert order_of(NEG_ID) == 2
+        assert order_of(ID4) == 1
         # The translation counts: x -> x + 1/2 has order 2, and
         # x -> -x + 1/3 is still an involution.
-        assert AffineTorusMap(ID4, (HALF, 0, 0, 0)).order() == 2
-        assert minus_identity((Fraction(1, 3), 0, 0, 0)).order() == 2
-        shift = AffineTorusMap(ID4, (Fraction(1, 5), 0, 0, 0))
-        assert shift.order() == 5
-        with pytest.raises(ActionValidationError, match="element order exceeds 4"):
-            shift.order(cap=4)
+        assert order_of(ID4, (1, 0, 0, 0), 2) == 2
+        assert order_of(NEG_ID, (1, 0, 0, 0), 3) == 2
+        assert order_of(ID4, (1, 0, 0, 0), 5) == 5
+        assert order_of(tuple(map(tuple, _SWAP))) == 4
 
 
 class TestFixedPoints:
     def test_involution_has_16(self):
-        points = fixed_points(minus_identity())
+        points = fixed_points(pair(minus_identity()))
         assert len(points) == 16
         assert all(set(p) <= {0, HALF} for p in points)
 
     def test_order_three_diagonal_has_9(self):
-        from cytk.torusq import _MUL_J, _MUL_J2, _block_diag, _linear
+        from cytk.torusq import _MUL_J, _MUL_J2
 
-        g = _linear(_block_diag(_MUL_J, _MUL_J2))
-        assert g.order() == 3
+        g = pair(_linear(_block_diag(_MUL_J, _MUL_J2)))
+        assert order(g) == 3
         assert len(fixed_points(g)) == 9
 
     def test_order_four_has_4_and_order_six_has_1(self):
-        from cytk.torusq import _MUL_W, _MUL_W_INV, _block_diag, _linear
+        from cytk.torusq import _MUL_W_INV
 
-        b = _linear(_SWAP)
-        assert b.order() == 4
+        b = pair(_linear(_SWAP))
+        assert order(b) == 4
         assert len(fixed_points(b)) == 4
-        d = _linear(_block_diag(_MUL_W, _MUL_W_INV))
-        assert d.order() == 6
+        d = pair(_linear(_block_diag(_MUL_W, _MUL_W_INV)))
+        assert order(d) == 6
         assert len(fixed_points(d)) == 1
 
     def test_pure_nontrivial_translation_has_none(self):
-        g = AffineTorusMap(ID4, (HALF, 0, 0, 0))
-        assert fixed_points(g) == frozenset()
+        with pytest.raises(NoSolutionError):
+            fixed_points((ID4, (HALF, 0, 0, 0)))
 
     def test_identity_fixes_everything(self):
         with pytest.raises(InfiniteSolutionsError):
-            fixed_points(AffineTorusMap.identity())
+            fixed_points(IDENTITY)
 
     def test_count_equals_det_on_random_maps(self):
         rng = random.Random(20240811)
@@ -129,11 +195,11 @@ class TestFixedPoints:
                 Fraction(rng.randrange(d), d)
                 for d in (rng.choice(denominators) for _ in range(4))
             )
-            g = AffineTorusMap(tuple(tuple(r) for r in m), t)
+            g = pair(AffineTorusMap(tuple(tuple(r) for r in m), t))
             points = fixed_points(g)
             assert len(points) == abs(det)
             # |det(M - I)| distinct points, each fixed, are all of them
-            assert all(g.apply(point) == point for point in points)
+            assert all(_affine(*g, point) == point for point in points)
             checked += 1
 
 
@@ -152,8 +218,10 @@ class TestCloseGroup:
 
     def test_infinite_group_hits_cap(self):
         shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        with pytest.raises(ActionValidationError, match="cap"):
-            close_group([AffineTorusMap(tuple(tuple(r) for r in shear), ZERO4)])
+        with pytest.raises(ActionValidationError, match="^not finite within cap 48$"):
+            close_group([_linear(shear)])
+        # A valid group has at most 24 elements, half the bound.
+        assert CAP == 48 and max(a.order for a in builtin_actions()) == 24
 
     def test_order_five_rejected(self):
         # companion matrix of x^4+x^3+x^2+x+1: an order-5 lattice action
@@ -208,12 +276,12 @@ class TestCloseGroup:
         assert derived == _CANONICAL_POWER_SUMS
 
     def test_bd8_presentation(self):
-        a = AffineTorusMap(tuple(tuple(r) for r in _L8_A), ZERO4)
-        b_shift = AffineTorusMap(tuple(tuple(r) for r in _L8_B), _L8_SHIFT_B)
-        action = close_group([a, b_shift])
-        assert action.order == 8
+        a = _linear(_L8_A)
+        b_shift = AffineTorusMap(_L8_B, _L8_SHIFT_B)
+        assert close_group([a, b_shift]).order == 8
         # a^2 = b'^2 = (b'a)^2, the binary dihedral presentation
-        assert a * a == b_shift * b_shift == (b_shift * a) * (b_shift * a)
+        a, b_shift = pair(a), pair(b_shift)
+        assert power(a, 2) == power(b_shift, 2) == power(compose(b_shift, a), 2)
 
 
 class TestBuiltinActions:
@@ -224,19 +292,19 @@ class TestBuiltinActions:
 
     def test_fixed_point_counts_by_order(self):
         for action in builtin_actions():
-            for g in action.elements:
-                if g.is_identity:
+            for g in map(pair, action.elements):
+                if g == IDENTITY:
                     continue
-                assert len(fixed_points(g)) == EXPECTED_FIXED_POINTS[g.order()]
+                assert len(fixed_points(g)) == EXPECTED_FIXED_POINTS[order(g)]
 
     def test_fixed_point_count_equals_det(self):
         for action in builtin_actions():
-            for g in action.elements:
-                if g.is_identity:
+            for g in map(pair, action.elements):
+                if g == IDENTITY:
                     continue
                 delta = [
                     [x - int(i == j) for j, x in enumerate(row)]
-                    for i, row in enumerate(g.linear)
+                    for i, row in enumerate(g[0])
                 ]
                 assert len(fixed_points(g)) == abs(determinant(delta))
 
@@ -244,8 +312,8 @@ class TestBuiltinActions:
         for action in builtin_actions():
             involutions = [
                 g
-                for g in action.elements
-                if not g.is_identity and (g * g).is_identity
+                for g in map(pair, action.elements)
+                if g != IDENTITY and compose(g, g) == IDENTITY
             ]
             if action.order % 2 == 0:
                 assert len(involutions) == 1
@@ -257,8 +325,8 @@ class TestBuiltinActions:
         for action in builtin_actions():
             report = quotient_singularities(action)
             points = set()
-            for g in action.elements:
-                if not g.is_identity:
+            for g in map(pair, action.elements):
+                if g != IDENTITY:
                     points.update(fixed_points(g))
             assert sum(orbit.size for orbit in report.orbits) == len(points)
             for orbit in report.orbits:
@@ -300,42 +368,41 @@ class TestLatticeModelOracles:
     and fixed-point counts pin the models down."""
 
     def setup_method(self):
-        self.a = AffineTorusMap(tuple(tuple(r) for r in _L8_A), ZERO4)
-        self.b = AffineTorusMap(tuple(tuple(r) for r in _L8_B), ZERO4)
-        self.c = AffineTorusMap(tuple(tuple(r) for r in _L8_C), ZERO4)
-        self.b_shift = AffineTorusMap(tuple(tuple(r) for r in _L8_B), _L8_SHIFT_B)
-        self.c_shift = AffineTorusMap(tuple(tuple(r) for r in _L8_C), _L8_SHIFT_C)
+        self.a = pair(_linear(_L8_A))
+        self.b = pair(_linear(_L8_B))
+        self.b_shift = pair(AffineTorusMap(_L8_B, _L8_SHIFT_B))
+        self.c_shift = pair(AffineTorusMap(_L8_C, _L8_SHIFT_C))
 
     def test_translation_identities(self):
         a, bp, cp = self.a, self.b_shift, self.c_shift
-        neg = a * a
-        assert not neg.is_identity and (neg * neg).is_identity
-        for element in (bp * bp, (bp * a) * (bp * a), cp * cp * cp):
+        neg = power(a, 2)
+        assert neg != IDENTITY and power(neg, 2) == IDENTITY
+        for element in (power(bp, 2), power(compose(bp, a), 2), power(cp, 3)):
             assert element == neg  # translation parts all vanish
-        assert a * cp * bp == cp
-        assert a * bp * cp == cp * a
+        assert compose(compose(a, cp), bp) == cp
+        assert compose(compose(a, bp), cp) == compose(cp, a)
 
     def test_shifted_and_linear_cases_differ_on_common_fixed_points(self):
         fixed_a = fixed_points(self.a)
         assert len(fixed_a) == 4
-        assert not any(self.b_shift.apply(p) == p for p in fixed_a)
-        assert all(self.b.apply(p) == p for p in fixed_a)
+        assert not any(_affine(*self.b_shift, p) == p for p in fixed_a)
+        assert all(_affine(*self.b, p) == p for p in fixed_a)
 
     def test_gaussian_case_has_two_common_fixed_points(self):
-        from cytk.torusq import _MUL_I, _MUL_I_INV, _block_diag, _linear
+        from cytk.torusq import _MUL_I_INV
 
-        a4 = _linear(_block_diag(_MUL_I, _MUL_I_INV))
-        b4 = _linear(_SWAP)
-        common = [p for p in fixed_points(a4) if b4.apply(p) == p]
+        a4 = pair(_linear(_block_diag(_MUL_I, _MUL_I_INV)))
+        b4 = pair(_linear(_SWAP))
+        common = [p for p in fixed_points(a4) if _affine(*b4, p) == p]
         assert len(common) == 2
 
     def test_bd12_relation(self):
-        from cytk.torusq import _MUL_W, _MUL_W_INV, _block_diag, _linear
+        from cytk.torusq import _MUL_W_INV
 
-        b = _linear(_SWAP)
-        d = _linear(_block_diag(_MUL_W, _MUL_W_INV))
-        b_inv = b * b * b
-        assert b * d * b_inv == d * d * d * d * d
+        b = pair(_linear(_SWAP))
+        d = pair(_linear(_block_diag(_MUL_W, _MUL_W_INV)))
+        b_inv = power(b, 3)
+        assert compose(compose(b, d), b_inv) == power(d, 5)
 
 
 class TestActionIO:
@@ -361,12 +428,14 @@ class TestActionIO:
             "generators": [
                 {"linear": [list(r) for r in _L8_A], "translation": ["0", "0", "0", "0"]},
                 {
+                    # Signed and integer entries, reduced mod 1 to (1/2, 1/2, 0, 0).
                     "linear": [list(r) for r in _L8_B],
-                    "translation": ["1/2", "1/2", "0", "0"],
+                    "translation": ["-1/2", "+3/2", "7", "0"],
                 },
             ],
         }
         action = action_from_json(data)
+        assert action.generators[1].translation == _L8_SHIFT_B
         assert action.order == 8
 
     def test_malformed_description_rejected(self):
@@ -403,6 +472,21 @@ class TestActionIO:
             action_from_json({"generators": generators})
         assert str(info.value) == f"malformed action description: {message}"
 
+    @pytest.mark.parametrize(
+        "entry", ["1e-5000", "0.5", "1/2 ", " 1", "1_0", "1/-2", "+-1", "/2", "\u0661"]
+    )
+    def test_translation_must_be_an_integer_or_p_q_string(self, entry):
+        """Fraction() also reads exponents and decimals: "1e-5000" would
+        expand to a 5001-digit representative, and its cost would grow
+        with the exponent's value."""
+        generators = [{"linear": NEG_ID_JSON, "translation": [entry, "0", "0", "0"]}]
+        with pytest.raises(ActionValidationError) as info:
+            action_from_json({"generators": generators})
+        assert str(info.value) == (
+            "malformed action description: "
+            f'translation entry {json.dumps(entry)} is not a "p/q" string'
+        )
+
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -415,31 +499,12 @@ class TestActionIO:
 # lattice coordinates.
 
 
-def _mul4(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
-
-
-def _affine(m, t, v):
-    """m v + t mod Z^4 in Fraction arithmetic."""
-    return tuple(
-        (sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) + s) % 1
-        for row, s in zip(m, t)
-    )
-
-
-def reference_closure(generators, cap=DEFAULT_CAP):
+def reference_closure(generators, cap=CAP):
     """The closure as first written: a LIFO frontier whose every new element
     is multiplied by every known one on both sides, in Fraction arithmetic
     on (linear, translation) pairs.  Returns the sorted pairs."""
-
-    def mul(g, h):
-        return _mul4(g[0], h[0]), _affine(g[0], g[1], h[1])
-
-    elements = {(ID4, ZERO4)}
-    frontier = [(g.linear, g.translation) for g in generators]
+    elements = {IDENTITY}
+    frontier = [pair(g) for g in generators]
     while frontier:
         g = frontier.pop()
         if g in elements:
@@ -448,7 +513,7 @@ def reference_closure(generators, cap=DEFAULT_CAP):
         if len(elements) > cap:
             raise ActionValidationError(f"not finite within cap {cap}")
         for h in list(elements):
-            for product in (mul(g, h), mul(h, g)):
+            for product in (compose(g, h), compose(h, g)):
                 if product not in elements:
                     frontier.append(product)
     return sorted(elements)
@@ -510,7 +575,7 @@ class TestClosureAndConjugation:
             assert len(action.orders) == len(action.elements)
             for g, n in zip(action.elements, action.orders):
                 assert abs(determinant(g.linear)) == 1
-                assert n == g.order()
+                assert n == order(pair(g))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_conjugates_keep_order_multiset_and_orbits(self, name):
@@ -558,7 +623,7 @@ class TestClosureAndConjugation:
 
 
 # ----------------------------------------------------------------------
-# Orbits computed in integers against the public Fraction path.
+# Orbits computed in integers against the Fraction reference above.
 
 elementary_steps = st.lists(
     st.tuples(
@@ -582,7 +647,7 @@ def test_orbits_match_fraction_apply(name, steps, shift):
     report = quotient_singularities(action)
     assert report.multiset == BUILTIN_EXPECTED[name]
     for orbit in report.orbits:
-        images = [g.apply(orbit.representative) for g in action.elements]
+        images = [_affine(*pair(g), orbit.representative) for g in action.elements]
         assert len(set(images)) == orbit.size
         assert images.count(orbit.representative) == orbit.stabilizer_order
         assert min(images) == orbit.representative
