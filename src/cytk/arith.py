@@ -4,14 +4,28 @@ Partition feasibility, integer determinants and linear congruences
 modulo the integer lattice.  Everything is exact; no floating point is
 used anywhere.
 
-A partition query costs O(1) big-integer operations for two parts.  For
-three or more parts it tries the multiples of the largest part up to its
-period against the others, at most min(parts) ** (len(parts) - 2) pair
-tests, so its cost is bounded by the parts and grows with the target only
-through the length of its digits.  ``is_pair_partitionable`` is the
-reference for the two-part test that the pass over the pairs of weights in
+A two-part query costs O(1) big-integer operations: ``is_pair_partitionable``
+is the reference for the test that the pass over the pairs of weights in
 ``hypersurface`` runs inline, with each pair's gcd and inverse taken once
 for d and every d - w_j; the tests check the pass against it.
+
+``is_partitionable`` answers t = x*a + y*b + z*c with x, y, z >= 0 for
+three positive parts.  g = gcd(a, b) divides t - z*c, which fixes z modulo
+h = g / gcd(g, c); let z0 be the least such count and E = t - c*z0.  With
+z = z0 + h*k, the least x is x_k = (u - v*k) mod m for m = b/g,
+u = (E/g) * (a/g)^-1 and v = (c*h/g) * (a/g)^-1 modulo m, and t is
+attainable iff some k >= 0 has a*x_k + c*h*k <= E, the b's filling the
+rest.  The least of that cost over the points (k, x_k) lies on the lower
+convex hull of the points (k, x), x >= 0, x = u - v*k (mod m), and a walk
+finds it: from the current point a step down adds 1 to k and takes v from
+x, a wrap adds m to x.  While a step down lowers the cost the walk goes
+down as far as x allows; the points it can reach next are one wrap up,
+then down again, and they form the same problem on modulus m mod v with
+step v mod (m mod v).  So the walk takes two steps of Euclid's algorithm
+on (m, v) a round, O(log m) rounds, and its costs stay within a factor of
+two of max(a, c*h) * m.  It is the continued-fraction structure behind
+Rødseth's (1978) and Greenberg's (1988) Frobenius numbers of three
+generators.
 
 A congruence A x = c/q (mod Z^n), with c integral, is brought to upper
 triangular form by unimodular integer row operations on [A | c]: Euclid's
@@ -55,26 +69,40 @@ def is_pair_partitionable(target: int, a: int, b: int) -> bool:
 
 
 def is_partitionable(target: int, parts: Iterable[int]) -> bool:
-    """True iff ``target`` is a sum of non-negative multiples of ``parts``."""
-    parts = sorted(set(parts))
-    if not parts:
-        raise ValueError("parts must be non-empty")
-    if target < 0:
-        raise ValueError("target must be non-negative")
-    if parts[0] <= 0:
-        raise ValueError("parts must be positive")
-    if len(parts) == 1:
-        return target % parts[0] == 0
-    if len(parts) == 2:
-        return is_pair_partitionable(target, parts[0], parts[1])
-    *rest, top = parts
-    # p/gcd(p, top) copies of top make a multiple of p, so a solution that
-    # uses top at least that often has one using it fewer times.
-    period = min(p // gcd(p, top) for p in rest)
-    for k in range(min(target // top, period - 1) + 1):
-        if is_partitionable(target - k * top, rest):
-            return True
-    return False
+    """True iff ``target`` is a sum of non-negative multiples of three
+    positive ``parts`` (the walk of the module docstring)."""
+    a, b, c = parts
+    if target < 0 or min(a, b, c) <= 0:
+        raise ValueError("target must be non-negative and the parts positive")
+    # z copies of c leave a multiple of g = gcd(a, b) iff z = z0 (mod h);
+    # rest is E = t - c*z0.
+    g = gcd(a, b)
+    e = gcd(g, c)
+    h = g // e
+    rest = target - c * (target // e * pow(c // e, -1, h) % h)
+    if target % e or rest < 0:
+        return False
+    m = b // g
+    inverse = pow(a // g, -1, m)
+    u, v = rest // g * inverse % m, c // e * inverse % m
+    # The cost a*x + c*h*k of the point (k, x) = (0, u), of a step down
+    # (1, -v) and of a wrap (0, m).
+    cost, down, wrap = a * u, c * h - a * v, a * m
+    while cost > rest and down < 0:
+        # Down as far as x allows.
+        q, r = divmod(m, v)
+        cost += u // v * down
+        u %= v
+        # One wrap up and q steps down raise x by r and the cost by up > 0.
+        up = wrap + q * down
+        if cost <= rest or not r:
+            break
+        # The first point past the next wrap, (u - v) mod r above zero.
+        n = -((u - v) // r)
+        cost += n * up + down
+        u += n * r - v
+        m, v, down, wrap = r, v % r, v // r * up + down, up
+    return cost <= rest
 
 
 def _as_matrix(a: Sequence[Sequence[int]]) -> list[list[int]]:

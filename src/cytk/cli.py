@@ -296,16 +296,11 @@ def _cmd_torus(args: argparse.Namespace) -> int:
             action = torusq.builtin_action(args.builtin)
         else:
             action = torusq.load_action(args.file)
+        report = torusq.quotient_singularities(action)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (torusq.ActionValidationError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        report = torusq.quotient_singularities(action)
-    except torusq.ActionValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     c2 = surface.orbifold_c2(report.multiset)

@@ -261,7 +261,8 @@ def is_quasismooth(ws: WeightSystem) -> bool:
     the set partitions, so a 3-subset that partitions d makes each of its
     supersets partition d too.  For the same reason a 3-subset one of
     whose pairs partitions d partitions d (the third weight taken zero
-    times), so the general three-part test runs only when no pair does.
+    times), so ``arith.is_partitionable``, a walk of O(log d) rounds on the
+    three weights, runs only when no pair does.
     """
     w = ws.weights
     return _condition_1(w, [ws.degree - x for x in w]) and _pair_pass(ws)[1]

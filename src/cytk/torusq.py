@@ -26,15 +26,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from cytk.arith import (
-    InfiniteSolutionsError,
-    NoSolutionError,
-    determinant,
-    solve_congruence_numerators,
-)
+from cytk.arith import NoSolutionError, determinant, solve_congruence_numerators
 from cytk.surface import REALIZED, DuValMultiset, DuValType
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -48,6 +44,11 @@ Numerators = tuple[int, ...]
 # and the bound only stops the closure of an infinite group.
 CAP = 48
 ALLOWED_ORDERS = frozenset({1, 2, 3, 4, 6})
+# The largest common translation denominator D accepted.  The orbit
+# representatives are printed as numerators over a divisor of 144 * D
+# (|det(M - I)| is 16 or 9 for the elements solved), and Python prints an
+# int of at most 4300 digits; 144 * 2**14000 has 4217.
+DENOMINATOR_BITS = 14000
 
 # The realifications of SL(2,C) elements of each finite order, (x-1)^4,
 # (x+1)^4, (x^2+x+1)^2, (x^2+1)^2 and (x^2-x+1)^2, are the only
@@ -170,8 +171,6 @@ def _fixed_numerators(
         return solve_congruence_numerators(a, [-t for t in shift], den)
     except NoSolutionError:
         return den, []
-    except InfiniteSolutionsError:
-        raise InfiniteSolutionsError("infinitely many fixed points")
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,8 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     give the power sums that identify the characteristic polynomial.  All
     of it runs on integer tuples over the generators' common denominator.
 
-    Raises ActionValidationError when the closure exceeds ``CAP`` elements,
+    Raises ActionValidationError when the translations' common denominator
+    exceeds ``DENOMINATOR_BITS`` bits, the closure exceeds ``CAP`` elements,
     is the trivial group, contains several involutions, contains a
     non-trivial translation, has an element of order outside {1,2,3,4,6},
     or has a linear part that is not the realification of an SL(2,C)
@@ -221,6 +221,8 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     """
     generators = tuple(generators)
     den = lcm(*(t.denominator for g in generators for t in g.translation))
+    if den.bit_length() > DENOMINATOR_BITS:
+        raise ActionValidationError(f"translation denominator over {DENOMINATOR_BITS} bits")
     steps = [
         (g.linear, tuple(t.numerator * (den // t.denominator) for t in g.translation))
         for g in generators
@@ -386,12 +388,7 @@ def _linear(rows: Sequence[Sequence[int]]) -> AffineTorusMap:
 
 
 def _block_diag(b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]]) -> list[list[int]]:
-    out = [[0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            out[i][j] = b1[i][j]
-            out[2 + i][2 + j] = b2[i][j]
-    return out
+    return [[*row, 0, 0] for row in b1] + [[0, 0, *row] for row in b2]
 
 # Factor-swap with a sign: (z1, z2) -> (z2, -z1).  Integral whenever both
 # factors use the same lattice basis.
@@ -491,11 +488,24 @@ def builtin_action(name: str) -> TorusAction:
     return close_group(_BUILTINS[name], label=name)
 
 
+_JSON_TYPES = {list: "array", dict: "object", str: "string"}
+
+
+def _shown(value: object) -> str:
+    """A rejected value as JSON, cut after 40 characters and then led by its
+    JSON type, so that a long or deeply nested value is not echoed whole:
+    the encoder yields its text in pieces, and only the first are made."""
+    text = "".join(islice(json.JSONEncoder().iterencode(value), 41))
+    if len(text) <= 40:
+        return text
+    return f"{_JSON_TYPES.get(type(value), 'number')} {text[:40]}..."
+
+
 def _json_list(value: object, what: str) -> list:
     """A part of the description that JSON must give as an array: a string
     is not read character by character, nor an object by its keys."""
     if not isinstance(value, list):
-        raise TypeError(f"{what} {json.dumps(value)} is not a list")
+        raise TypeError(f"{what} {_shown(value)} is not a list")
     return value
 
 
@@ -503,7 +513,7 @@ def _linear_entry(value: object) -> int:
     """A linear-part entry, which JSON must give as an integer: a float is
     not truncated and ``true`` is not read as 1."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"linear entry {json.dumps(value)} is not an integer")
+        raise TypeError(f"linear entry {_shown(value)} is not an integer")
     return value
 
 
@@ -515,7 +525,7 @@ def _translation_entry(value: object) -> Fraction:
     string: a float is not read as the binary fraction it rounds to, and an
     exponent such as "1e-5000" is not expanded to its digits."""
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
-        raise TypeError(f'translation entry {json.dumps(value)} is not a "p/q" string')
+        raise TypeError(f'translation entry {_shown(value)} is not a "p/q" string')
     return Fraction(value)
 
 
@@ -528,7 +538,7 @@ def action_from_json(data: dict) -> TorusAction:
     try:
         label = data.get("label", "")
         if not isinstance(label, str):
-            raise TypeError(f"label must be a string, got {label!r}")
+            raise TypeError(f"label must be a string, got {_shown(label)}")
         generators = [
             AffineTorusMap(
                 tuple(

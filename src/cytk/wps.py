@@ -61,14 +61,10 @@ def _least_orbit_point(m: int, a: int, b: int) -> tuple[int, int]:
 def _canonical_quotient(order: int, a: int, b: int) -> tuple[int, tuple[int, int]]:
     """Reduce 1/m(a, b) to a faithful action and pick the lexicographically
     minimal representative under coordinate swap and generator rescaling."""
-    m = order
-    a %= m
-    b %= m
-    g = gcd(a, b, m)
-    if g > 1:
-        m //= g
-        a = (a // g) % m
-        b = (b // g) % m
+    g = gcd(a, b, order)
+    m = order // g
+    a = a % order // g
+    b = b % order // g
     if m < 2:
         raise ValueError("quotient order must be at least 2")
     return m, min(_least_orbit_point(m, a, b), _least_orbit_point(m, b, a))

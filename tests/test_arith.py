@@ -1,8 +1,9 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import permutations, product
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,47 +20,93 @@ from cytk.arith import (
 
 
 def brute_force_partitionable(target, parts):
-    """Independent oracle: exhaust all coefficient vectors."""
-    ranges = [range(target // p + 1) for p in parts]
+    """Independent oracle: exhaust the counts of every part but the last,
+    which must then divide what is left."""
+    *rest, last = parts
+    ranges = [range(target // p + 1) for p in rest]
     return any(
-        sum(a * p for a, p in zip(alphas, parts)) == target
-        for alphas in product(*ranges)
+        (left := target - sum(map(mul, counts, rest))) >= 0 and left % last == 0
+        for counts in product(*ranges)
     )
+
+
+def reference_partitionable(target, parts):
+    """The n-part recursion that ``is_partitionable`` replaced: it tries the
+    multiples of the largest part up to its period against the others, so
+    its cost grows with the smallest part."""
+    parts = sorted(set(parts))
+    if len(parts) == 1:
+        return target % parts[0] == 0
+    if len(parts) == 2:
+        return is_pair_partitionable(target, *parts)
+    *rest, top = parts
+    # p/gcd(p, top) copies of top make a multiple of p, so a solution that
+    # uses top at least that often has one using it fewer times.
+    period = min(p // gcd(p, top) for p in rest)
+    return any(
+        reference_partitionable(target - k * top, rest)
+        for k in range(min(target // top, period - 1) + 1)
+    )
+
+
+def coprime_pair(rng, bits):
+    a = rng.getrandbits(bits) | 1 << (bits - 1)
+    b = rng.getrandbits(bits) | 1 << (bits - 1)
+    while gcd(a, b) != 1:
+        b += 1
+    return a, b
 
 
 class TestPartitionable:
     def test_120_by_7_50(self):
-        assert is_partitionable(120, (7, 50))
+        assert is_pair_partitionable(120, 7, 50)
 
     def test_targets_near_56_by_9_13(self):
-        assert is_partitionable(54, (9, 13))
-        assert is_partitionable(52, (9, 13))
+        assert is_pair_partitionable(54, 9, 13)
+        assert is_pair_partitionable(52, 9, 13)
 
     def test_zero_target(self):
-        assert is_partitionable(0, (5,))
+        assert is_partitionable(0, (5, 7, 9))
 
     def test_56_by_9_13_is_not(self):
         # frozen from the brute-force oracle over alpha1 <= 6, alpha2 <= 4
         assert not brute_force_partitionable(56, (9, 13))
-        assert not is_partitionable(56, (9, 13))
+        assert not is_pair_partitionable(56, 9, 13)
+        assert is_partitionable(56, (9, 13, 28))
 
     def test_empty_parts_rejected(self):
-        with pytest.raises(ValueError):
-            is_partitionable(5, ())
+        # exactly three parts are taken
+        for parts in ((), (5,), (2, 3), (2, 3, 5, 7)):
+            with pytest.raises(ValueError):
+                is_partitionable(5, parts)
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            is_partitionable(-1, (2,))
+            is_partitionable(-1, (2, 3, 5))
+        with pytest.raises(ValueError):
+            is_partitionable(5, (2, 0, 5))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        target=st.integers(min_value=0, max_value=200),
-        parts=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4),
+        target=st.integers(min_value=0, max_value=300),
+        parts=st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=3),
     )
     def test_agrees_with_brute_force(self, target, parts):
         assert is_partitionable(target, parts) == brute_force_partitionable(
             target, parts
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=st.integers(min_value=0, max_value=300),
+        p=st.integers(min_value=1, max_value=40),
+        q=st.integers(min_value=1, max_value=40),
+    )
+    def test_duplicate_parts_agree_with_brute_force(self, target, p, q):
+        for parts in ((p, p, q), (p, q, p), (q, p, p), (p, p, p)):
+            assert is_partitionable(target, parts) == brute_force_partitionable(
+                target, parts
+            )
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -70,16 +117,16 @@ class TestPartitionable:
     )
     def test_pair_agrees_with_brute_force(self, target, factor, a, b):
         parts = (factor * a, factor * b)
-        expected = brute_force_partitionable(target, parts)
-        assert is_pair_partitionable(target, *parts) == expected
-        assert is_partitionable(target, parts) == expected
+        assert is_pair_partitionable(target, *parts) == brute_force_partitionable(
+            target, parts
+        )
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        target=st.integers(min_value=0, max_value=100),
+        target=st.integers(min_value=0, max_value=200),
         factor=st.integers(min_value=1, max_value=6),
         cofactors=st.lists(
-            st.integers(min_value=2, max_value=20), min_size=3, max_size=4
+            st.integers(min_value=2, max_value=20), min_size=3, max_size=3
         ),
     )
     def test_shared_factor_parts_agree_with_brute_force(
@@ -89,14 +136,38 @@ class TestPartitionable:
         parts = [factor * c for c in cofactors]
         parts[0] *= cofactors[1]
         assert is_partitionable(target, parts) == brute_force_partitionable(
-            target, sorted(set(parts))
+            target, parts
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=st.integers(min_value=0, max_value=10**8),
+        parts=st.lists(
+            st.integers(min_value=1, max_value=10**4), min_size=3, max_size=3
+        ),
+    )
+    def test_agrees_with_the_recursion_it_replaced(self, target, parts):
+        assert is_partitionable(target, parts) == reference_partitionable(
+            target, parts
+        )
+
+    def test_300_bit_parts(self):
+        # a + b adds nothing to <a, b>, whose largest gap is ab - a - b
+        rng = random.Random(300)
+        start = time.perf_counter()
+        for _ in range(5):
+            a, b = coprime_pair(rng, 300)
+            for parts in permutations((a, b, a + b)):
+                assert not is_partitionable(a * b - a - b, parts)
+                assert is_partitionable(a * b, parts)
+                assert is_partitionable(a * b - a, parts)
+        assert time.perf_counter() - start < 0.5
 
     def test_huge_target_is_fast(self):
         start = time.perf_counter()
-        assert is_partitionable(10**12, (7, 50))
+        assert is_pair_partitionable(10**12, 7, 50)
         assert not is_partitionable(10**12 + 1, (10, 50, 70))
-        assert is_partitionable(10**12 + 1, (7, 50, 91, 200))
+        assert is_partitionable(10**12 + 1, (7, 91, 200))
         assert time.perf_counter() - start < 0.5
 
 

@@ -28,6 +28,15 @@ KUMMER_ACTION = {
 
 
 ID4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+# (z1, z2) -> (z2, -z1), of order 4 with any translation.
+SWAP4 = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+
+
+def nested_object(depth):
+    value = {}
+    for _ in range(depth):
+        value = {"a": value}
+    return value
 
 # An infinite group: its closure stops at the bound of 48 elements.
 SHEAR_ACTION = {
@@ -94,7 +103,7 @@ class TestAnalyze:
     def test_condition_3_at_large_parts(self, capsys):
         # d = 1 + 2uvw and weights (1, 1, uv, vw, wu) for the primes u, v, w:
         # no pair of the three large weights partitions d, so the verdict
-        # rests on the three-part loop of arith.is_partitionable
+        # rests on the three-part walk of arith.is_partitionable
         u, v, w = 100003, 100019, 100043
         d, large = 1 + 2 * u * v * w, (u * v, v * w, w * u)
         assert (d, large) == (2001300200604903, (10002200057, 10006200817, 10004600129))
@@ -110,6 +119,28 @@ class TestAnalyze:
             [u * v, w * u],
             [v * w, w * u],
         ]
+
+    def test_condition_3_at_primes_near_10_9(self, capsys):
+        # the same shape at u, v, w = 10^9 + 7, + 9, + 21, where a loop up to
+        # a part's period would run for minutes: a subprocess with a timeout
+        # fails on such a relapse instead of hanging
+        argv = [
+            "analyze", "2000000074000000798000002647", "1", "1",
+            "1000000016000000063", "1000000030000000189", "1000000028000000147",
+            "--json",
+        ]
+        result = subprocess.run(
+            [sys.executable, "-m", "cytk", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        document = json.loads(result.stdout)
+        assert document["wellformed"] and document["quasismooth"]
+        edges = document["contained_edges"]
+        assert len(edges) == 3 and all(e["singular"] for e in edges)
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv)[:2] == (0, result.stdout)
+        assert time.perf_counter() - start < 0.1
 
     def test_invalid_weights_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "10", "2", "2", "2", "2", "2")
@@ -378,11 +409,13 @@ class TestTorusQuotient:
                     ["0.5", "0", "0", "0"],
                 )
             ),
+            {**KUMMER_ACTION, "label": ["x" * 98] * 1000},
+            {"generators": nested_object(900)},
         ],
         ids=[
             "top-level-list", "zero-denominator", "int-label", "null-label",
             "string-translation", "object-translation", "exponent-translation",
-            "decimal-translation",
+            "decimal-translation", "100-kb-label", "900-deep-generators",
         ],
     )
     def test_malformed_description_exit_3(self, tmp_path, document):
@@ -396,6 +429,40 @@ class TestTorusQuotient:
         assert result.returncode == 3
         assert "error: malformed action description" in result.stderr
         assert "Traceback" not in result.stderr
+        # the offending value is named by its type and a short prefix
+        assert result.stderr.count("\n") == 1
+        assert len(result.stderr.encode("utf-8")) < 200
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_translation_denominator_over_the_bound_exit_3(self, tmp_path, form):
+        # two coprime 4290-digit denominators: printed over their lcm, the
+        # points would pass the 4300-digit limit of int to str
+        translation = [f"1/{10**4289 + 1}", "0", f"1/{10**4289 + 3}", "0"]
+        document = {"generators": [{"linear": SWAP4, "translation": translation}]}
+        bad = tmp_path / "digits.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad), *form],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            3,
+            "",
+            f"error: translation denominator over {torusq.DENOMINATOR_BITS} bits\n",
+        )
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_largest_accepted_denominator_prints(self, capsys, tmp_path, form):
+        den = 2**torusq.DENOMINATOR_BITS - 1
+        document = {
+            "generators": [{"linear": SWAP4, "translation": [f"1/{den}", "0", "0", "0"]}]
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(capsys, "torus-quotient", "--file", str(path), *form)
+        assert (code, err) == (0, "")
+        assert "4A3+6A1" in out
 
     @pytest.mark.parametrize(
         "entry, shown", [(-1.5, "-1.5"), (True, "true"), ("1", '"1"')],

@@ -142,13 +142,11 @@ class TestContainsNoEdge:
         assert not singular_locus(X7).contains_no_edge
 
     def test_no_edge_means_every_pair_partitions(self):
-        from cytk.arith import is_partitionable
-
         for ws in (X1734, X120, QUINTIC):
             if singular_locus(ws).contains_no_edge:
                 w = ws.weights
                 for i, j in combinations(range(5), 2):
-                    assert is_partitionable(ws.degree, (w[i], w[j]))
+                    assert is_pair_partitionable(ws.degree, w[i], w[j])
 
 
 def reference_sums(parts, limit):
