@@ -39,7 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cytk.census import census_lines, format_record  # noqa: E402
-from cytk.hypersurface import is_quasismooth, is_wellformed_hypersurface  # noqa: E402
+from cytk.hypersurface import is_quasismooth_and_wellformed  # noqa: E402
 from cytk.wps import WeightSystem  # noqa: E402
 
 
@@ -223,7 +223,7 @@ def solve(slots: int, cap: int) -> list[tuple[int, tuple[int, ...]]]:
     found = []
     for d, weights in sorted(enum.solutions):
         ws = WeightSystem(d, weights)
-        if is_quasismooth(ws) and is_wellformed_hypersurface(ws):
+        if is_quasismooth_and_wellformed(ws):
             found.append((d, weights))
     return found
 

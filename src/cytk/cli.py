@@ -2,8 +2,11 @@
 torus-quotient subcommands, with human-readable or JSON output.
 
 One argument parser, built when the module is imported, serves every
-call of ``main``: a request pays only for parsing its own arguments, and
-concurrent callers can share the parser, which keeps no per-call state.
+call of ``main``, and concurrent callers can share it, since it keeps no
+per-call state.  Each request is parsed once, by its own subcommand's
+parser: ``main`` looks the first argument up among the subcommands rather
+than letting the top-level parser scan the whole command line first.
+Usage and error text are those of the top-level path.
 
 Rationals are serialized as "num/den" strings so that JSON output stays
 exact.  JSON documents are emitted with sorted keys and a fixed layout, so
@@ -298,7 +301,8 @@ def _cmd_torus(args: argparse.Namespace) -> int:
             action = torusq.load_action(args.file)
         report = torusq.quotient_singularities(action)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except (torusq.ActionValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -381,10 +385,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
+# Each subcommand's own parser by name: the choices of the subparsers action.
+(_COMMANDS,) = (
+    action.choices
+    for action in _PARSER._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse a request by the parser of the subcommand it names, which the
+    top-level parser would hand it to; any other request, and leftover
+    arguments, get the top-level parser's usage and error text."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     return args.handler(args)
 
 

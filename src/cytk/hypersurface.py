@@ -14,8 +14,9 @@ count stops at the second hit).  It also takes once the gcd m of the other
 weights: m > 1 makes the two-face on which a and b vanish cut a singular
 curve of order m, and m, a gcd of n - 2 weights, must divide d for
 wellformedness, while gcd(m, a) and gcd(m, b), gcds of n - 1 weights, must
-be 1.  ``is_quasismooth``, ``is_wellformed_hypersurface`` and
-``singular_locus`` read that pass, so each criterion is written once."""
+be 1.  ``is_quasismooth``, ``is_wellformed_hypersurface``,
+``is_quasismooth_and_wellformed`` and ``singular_locus`` read that pass,
+so each criterion is written once."""
 
 from __future__ import annotations
 
@@ -266,6 +267,14 @@ def is_quasismooth(ws: WeightSystem) -> bool:
     """
     w = ws.weights
     return _condition_1(w, [ws.degree - x for x in w]) and _pair_pass(ws)[1]
+
+
+def is_quasismooth_and_wellformed(ws: WeightSystem) -> bool:
+    """``is_quasismooth(ws) and is_wellformed_hypersurface(ws)``, for any
+    number of weights, with condition (1) tested first and alone and both
+    verdicts then read from one pair pass."""
+    w = ws.weights
+    return _condition_1(w, [ws.degree - x for x in w]) and all(_pair_pass(ws)[:2])
 
 
 def singular_locus(ws: WeightSystem) -> SingularLocusReport:

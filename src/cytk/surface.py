@@ -127,11 +127,17 @@ EMPTY = DuValMultiset(())
 
 
 def orbifold_c2(multiset: DuValMultiset) -> Fraction:
-    """Exact value 24 - sum of (k + 1 - 1/r) over the multiset."""
-    total = Fraction(24)
-    for typ, count in multiset:
-        total -= count * typ.deficiency
-    return total
+    """Exact value 24 - sum of (k + 1 - 1/r) over the multiset.
+
+    The sum runs in integers: with L the lcm of the types' r (1 for the
+    empty multiset), each summand is ((k + 1)·L - L/r) / L, so the value
+    is (24·L - sum of count·((k + 1)·L - L/r)) / L, one ``Fraction``.
+    """
+    scale = lcm(*(typ.r for typ, _ in multiset))
+    deficit = sum(
+        count * ((typ.k + 1) * scale - scale // typ.r) for typ, count in multiset
+    )
+    return Fraction(24 * scale - deficit, scale)
 
 
 def is_conditional(multiset: DuValMultiset) -> bool:

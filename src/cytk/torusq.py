@@ -484,7 +484,7 @@ def builtin_actions() -> list[TorusAction]:
 
 def builtin_action(name: str) -> TorusAction:
     if name not in _BUILTINS:
-        raise KeyError(f"unknown builtin action {name!r}")
+        raise KeyError(f"unknown builtin action {_shown(name)}")
     return close_group(_BUILTINS[name], label=name)
 
 

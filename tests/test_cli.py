@@ -368,8 +368,11 @@ class TestTorusQuotient:
         assert len(out.strip().splitlines()) == 10
 
     def test_unknown_builtin_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "torus-quotient", "--builtin", "nope")
-        assert code == 2
+        # The name is shown as JSON, not inside a KeyError's repr quotes.
+        for name, shown in [("nope", '"nope"'), ("it's", '"it\'s"')]:
+            code, out, err = run_cli(capsys, "torus-quotient", "--builtin", name)
+            assert (code, out) == (2, "")
+            assert err == f"error: unknown builtin action {shown}\n"
 
     def test_malformed_file_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -694,14 +697,14 @@ class TestSharedParser:
             ["torus-quotient", "--file", "a.json", "--json"],
             ["torus-quotient", "--list-builtins"],
         ]
-        serial = [cli._PARSER.parse_args(argv) for argv in argvs]
+        serial = [cli._parse(argv) for argv in argvs]
         start = threading.Barrier(4)
         results: list[list] = [[] for _ in range(4)]
 
         def client(own: list) -> None:
             start.wait()
             for _ in range(100):
-                own.append([cli._PARSER.parse_args(argv) for argv in argvs])
+                own.append([cli._parse(argv) for argv in argvs])
 
         threads = [threading.Thread(target=client, args=(own,)) for own in results]
         interval = sys.getswitchinterval()
@@ -719,6 +722,101 @@ class TestSharedParser:
             assert all(parsed == serial for parsed in own)
         assert serial[7].json and serial[7].file == "a.json"
         assert not serial[6].json and serial[6].builtin == "kummer"
+
+
+def _top_level(argv):
+    """The earlier dispatch: the top-level parser parses the whole request."""
+    args = cli._PARSER.parse_args(argv)
+    return args.handler(args)
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+QUINTIC = ["5", "1", "1", "1", "1", "1"]
+
+
+class TestDirectDispatch:
+    """main sends a request straight to its subcommand's parser; the exit
+    code, stdout and stderr are those of the top-level parser's path."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a valid request of every subcommand
+            ["analyze", *QUINTIC],
+            ["analyze", "56", "2", "4", "9", "13", "28", "--json"],
+            ["census", "{sample}"],
+            ["census", "{sample}", "--jobs", "2"],
+            ["surface", "2A3+11A1"],
+            ["surface", "16A1", "--json"],
+            ["enumerate-zero-c2"],
+            ["enumerate-zero-c2", "--json"],
+            ["torus-quotient", "--builtin", "kummer"],
+            ["torus-quotient", "--builtin", "nope"],
+            ["torus-quotient", "--list-builtins"],
+            ["torus-quotient", "--file", "{action}", "--json"],
+            # help of every subcommand, and of the program
+            ["analyze", "-h"],
+            ["census", "-h"],
+            ["surface", "--help"],
+            ["enumerate-zero-c2", "-h"],
+            ["torus-quotient", "-h"],
+            ["analyze", *QUINTIC, "--h"],
+            [],
+            ["-h"],
+            ["--help"],
+            # unknown commands and options before the command
+            ["analyse", *QUINTIC],
+            ["--json", "analyze", *QUINTIC],
+            ["--", "analyze", *QUINTIC],
+            # extra arguments after a valid request
+            ["analyze", *QUINTIC, "7"],
+            ["analyze", *QUINTIC, "--bogus"],
+            ["surface", "16A1", "--json", "x", "--y=1"],
+            ["enumerate-zero-c2", "extra"],
+            ["torus-quotient", "--list-builtins", "--bogus"],
+            # missing and malformed arguments
+            ["analyze", "5", "1", "1", "1", "1"],
+            ["surface"],
+            ["census", "{sample}", "extra"],
+            ["analyze", "5", "1", "1", "x", "1", "1"],
+            ["analyze", "5", "1", "1", "-1", "1", "1"],
+            ["analyze", "--", *QUINTIC],
+            ["census", "{sample}", "--jobs", "0"],
+            ["census", "{sample}", "--jobs", "two"],
+            ["torus-quotient"],
+            ["torus-quotient", "--builtin", "kummer", "--list-builtins"],
+            ["surface", "--js", "16A1"],
+        ],
+        ids=lambda argv: " ".join(argv) or "(none)",
+    )
+    def test_same_reply_as_the_top_level_parser(self, capsys, tmp_path, argv):
+        sample = tmp_path / "sample.txt"
+        sample.write_text("5 1 1 1 1 1\n120 3 7 20 40 50\n", encoding="utf-8")
+        action = tmp_path / "kummer.json"
+        action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
+        argv = [arg.format(sample=sample, action=action) for arg in argv]
+        direct = _outcome(capsys, main, argv)
+        assert direct == _outcome(capsys, _top_level, argv)
+        assert direct[1] or direct[2]
+
+    def test_unrecognized_arguments_message(self, capsys):
+        code, out, err = _outcome(capsys, main, ["analyze", *QUINTIC, "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: cytk [-h]")
+        assert err.endswith("cytk: error: unrecognized arguments: --bogus\n")
+
+    def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cytk", "surface", "16A1", "--json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["classification"]["entry"] == 1
 
 
 def test_module_entry_point():

@@ -20,6 +20,7 @@ from cytk.hypersurface import (
     examine,
     is_calabi_yau_degree,
     is_quasismooth,
+    is_quasismooth_and_wellformed,
     is_wellformed_hypersurface,
     singular_locus,
     _pair_pass,
@@ -268,6 +269,9 @@ class TestAgainstAllSubsetsReference:
     def test_any_number_of_weights(self, ws):
         assert is_quasismooth(ws) == reference_is_quasismooth(ws)
         assert is_wellformed_hypersurface(ws) == reference_is_wellformed(ws)
+        assert is_quasismooth_and_wellformed(ws) == (
+            reference_is_quasismooth(ws) and reference_is_wellformed(ws)
+        )
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))

@@ -170,6 +170,42 @@ class TestOrbifoldC2:
         merged = m1.union(m2)
         assert orbifold_c2(merged) == orbifold_c2(m1) + orbifold_c2(m2) - 24
 
+    @staticmethod
+    def fraction_c2(multiset):
+        """The definition, summed in Fractions."""
+        return 24 - sum(count * typ.deficiency for typ, count in multiset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_candidate_types(19)),
+                st.integers(min_value=1, max_value=16),
+            ),
+            max_size=6,
+        )
+    )
+    def test_integer_sum_is_the_fraction_definition(self, entries):
+        multiset = DuValMultiset(tuple(entries))
+        assert orbifold_c2(multiset) == self.fraction_c2(multiset)
+
+    @pytest.mark.parametrize(
+        "text", ["E6", "E7", "E8", "16E8", "E8+E7+E6", "16E6+16E7+16E8+16A19+16D19"]
+    )
+    def test_integer_sum_on_the_exceptional_types(self, text):
+        multiset = DuValMultiset.parse(text)
+        assert orbifold_c2(multiset) == self.fraction_c2(multiset)
+
+    def test_integer_sum_on_the_empty_multiset(self):
+        assert orbifold_c2(EMPTY) == self.fraction_c2(EMPTY) == 24
+        assert orbifold_c2(EMPTY).denominator == 1
+
+    def test_integer_sum_on_the_zero_c2_list(self):
+        multisets = enumerate_zero_c2()
+        assert len(multisets) == ZERO_C2_COUNT
+        for multiset in multisets:
+            assert orbifold_c2(multiset) == self.fraction_c2(multiset) == 0
+
 
 class TestGate:
     def test_five_a4_excluded_by_picard_bound(self):
