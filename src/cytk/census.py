@@ -12,8 +12,8 @@ and ``format_record`` writes it.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, TextIO
 
 from cytk import hypersurface
@@ -169,7 +169,8 @@ def census_lines(
     return replace(summary, failures=merged), verdicts
 
 
-_BOOL = {True: "true", False: "false"}
+# A boolean as the CSV and every JSON document cytk writes spell it.
+BOOL_TEXT = {True: "true", False: "false"}
 
 CSV_FIELDS = (
     "line",
@@ -195,19 +196,21 @@ def write_csv(verdicts: Sequence[RecordVerdict], out: TextIO) -> None:
         writer.writerow(
             [v.line, v.degree, *v.weights]
             + [
-                _BOOL[v.wellformed],
-                _BOOL[v.quasismooth],
-                _BOOL[v.calabi_yau],
-                _BOOL[v.smooth_in_codim2],
-                _BOOL[v.contains_no_edge],
+                BOOL_TEXT[v.wellformed],
+                BOOL_TEXT[v.quasismooth],
+                BOOL_TEXT[v.calabi_yau],
+                BOOL_TEXT[v.smooth_in_codim2],
+                BOOL_TEXT[v.contains_no_edge],
                 ";".join(v.singular_curve_types),
             ]
         )
 
 
-def _json_array(items: Sequence[str], indent: str) -> str:
+def json_array(items: Sequence[str], indent: str) -> str:
     """Already encoded items as a JSON array laid out by ``json.dump`` with
-    ``indent=2``, for an array that opens on a line indented by ``indent``."""
+    ``indent=2``, for an array that opens on a line indented by ``indent``.
+    Every JSON document cytk writes lays out its arrays of varying length
+    through this function."""
     if not items:
         return "[]"
     inner = indent + "  "
@@ -250,9 +253,10 @@ def write_json(
     layout of ``json.dump(..., sort_keys=True, indent=2)`` plus a newline.
 
     Each record is filled into one template and written as it is made:
-    booleans through ``_BOOL``, integers through ``%d`` and strings through
-    ``json.dumps``, which escapes a lone string in C, where ``indent`` would
-    send the whole document through the pure-Python encoder.
+    booleans through ``BOOL_TEXT``, integers through ``%d`` and strings
+    through ``encode_basestring_ascii``, the stdlib's C escaper, where
+    ``indent`` would send the whole document through the pure-Python
+    encoder.
     """
     out.write('{\n  "records": ')
     separator = "[\n    "
@@ -261,27 +265,30 @@ def write_json(
         out.write(
             _RECORD
             % (
-                _BOOL[v.calabi_yau],
-                _BOOL[v.contains_no_edge],
+                BOOL_TEXT[v.calabi_yau],
+                BOOL_TEXT[v.contains_no_edge],
                 v.degree,
                 v.line,
-                json.dumps(v.origin),
-                _BOOL[v.quasismooth],
-                _json_array([json.dumps(t) for t in v.singular_curve_types], "      "),
-                _BOOL[v.smooth_in_codim2],
-                _json_array([str(w) for w in v.weights], "      "),
-                _BOOL[v.wellformed],
+                encode_basestring_ascii(v.origin),
+                BOOL_TEXT[v.quasismooth],
+                json_array(
+                    [encode_basestring_ascii(t) for t in v.singular_curve_types], "      "
+                ),
+                BOOL_TEXT[v.smooth_in_codim2],
+                json_array([str(w) for w in v.weights], "      "),
+                BOOL_TEXT[v.wellformed],
             )
         )
         separator = ",\n    "
     out.write("\n  ]" if verdicts else "[]")
     failures = [
-        _FAILURE % (line, json.dumps(reason)) for line, reason in summary.failures
+        _FAILURE % (line, encode_basestring_ascii(reason))
+        for line, reason in summary.failures
     ]
     out.write(
         _SUMMARY
         % (
-            _json_array(failures, "    "),
+            json_array(failures, "    "),
             summary.not_smooth_codim2,
             summary.not_smooth_codim2_and_no_edge,
             summary.total,

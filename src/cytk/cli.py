@@ -6,14 +6,28 @@ call of ``main``, and concurrent callers can share it, since it keeps no
 per-call state.  Each request is parsed once, by its own subcommand's
 parser: ``main`` looks the first argument up among the subcommands rather
 than letting the top-level parser scan the whole command line first.
-Usage and error text are those of the top-level path.
+Usage and error text are those of the top-level path.  Two request shapes
+skip argparse altogether: ``analyze`` with six tokens of ASCII digits,
+each with an optional leading ``-``, and ``surface`` with one token that
+does not start with ``-``, either with an optional trailing ``--json``.
+argparse reads such tokens as positionals and ``int`` converts them as it
+would, so the namespace built directly is the one the subcommand's parser
+returns.  Any other request, and a token ``int`` refuses, goes to that
+parser.
 
 Rationals are serialized as "num/den" strings so that JSON output stays
-exact.  JSON documents are emitted with sorted keys and a fixed layout, so
-parsing and re-serializing is byte-identical: each reply is exactly
-``json.dumps(document, sort_keys=True, indent=2)``.  A small recursive
-encoder writes it, because ``indent`` makes the stdlib use its
-pure-Python encoder; strings still go through the stdlib's C escaper.
+exact.  Each ``--json`` reply is exactly ``json.dumps(document,
+sort_keys=True, indent=2)`` plus a newline, so parsing and re-serializing
+is byte-identical.  It is filled into a fixed template with its keys in
+sorted order, as ``census.write_json`` writes its records: booleans through
+``census.BOOL_TEXT``, integers through ``%d``, strings through the stdlib's
+C escaper ``encode_basestring_ascii`` and arrays of varying length through
+``census.json_array``.
+
+An integer printed in a reply stays within ``INTEGER_BITS`` bits, below
+Python's 4300-digit limit for printing an int: ``analyze`` rejects a
+degree over ``DEGREE_BITS`` bits and ``surface`` a multiset whose orbifold
+c2 or sum of k would be wider, with exit 2 and before any output.
 
 ``census -`` reads stdin as bytes and decodes them as strictly as a file,
 so a byte that is not UTF-8 is an I/O error whatever the locale.
@@ -24,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -31,6 +46,7 @@ from typing import Optional, Sequence
 
 from cytk import census as census_mod
 from cytk import hypersurface, surface, torusq
+from cytk.census import BOOL_TEXT, json_array
 from cytk.wps import WeightSystem
 
 DATABASE_ENV = "CYTK_DATABASE"
@@ -40,44 +56,76 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
+# Every integer a reply prints is below 2**14284 < 10**4300, Python's
+# default limit on the digits of an int turned into a string.
+INTEGER_BITS = 14284
+# The c2 bound's denominator 10·N, N the product of five weights of at
+# most the degree, then stays below 2**4 · 2**(5 · 2856) = 2**INTEGER_BITS.
+DEGREE_BITS = (INTEGER_BITS - 4) // 5
+
 
 def _frac(value: Fraction) -> str:
+    """A rational as "num/den"; ``perfbench/make_data.py`` writes the builtin
+    torus translations with it."""
     return f"{value.numerator}/{value.denominator}"
 
 
-def _encode(value: object, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for the dicts with
-    string keys, lists, strings, ints, bools and None that cytk emits.
-    Under ``indent`` the stdlib runs its pure-Python encoder; here only the
-    string escaper runs per value, and it is the stdlib's C one."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return repr(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    inner = indent + "  "
-    if kind is dict:
-        items = [
-            f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}"
-            for key in sorted(value)
-        ]
-        start, end = "{", "}"
-    elif kind is list:
-        items = [_encode(item, inner) for item in value]
-        start, end = "[", "]"
-    else:
-        raise TypeError(f"cannot encode {kind.__name__} as JSON")
-    if not items:
-        return start + end
-    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
+_ANALYZE = """{
+  "c2_lower_bound": %s,
+  "calabi_yau": %s,
+  "contained_edges": %s,
+  "contains_no_edge": %s,
+  "degree": %d,
+  "edge_point_loci": %s,
+  "quasismooth": %s,
+  "singular_curves": %s,
+  "singular_vertices": %s,
+  "smooth_in_codim2": %s,
+  "weights": [
+    %d,
+    %d,
+    %d,
+    %d,
+    %d
+  ],
+  "wellformed": %s
+}
+"""
 
+_BOUND = """{
+    "positive": %s,
+    "value": "%d/%d"
+  }"""
 
-def _emit_json(document: dict) -> None:
-    print(_encode(document))
+_EDGE = """{
+      "free_weights": [
+        %d,
+        %d
+      ],
+      "singular": %s,
+      "zeroed": [
+        %d,
+        %d,
+        %d
+      ]
+    }"""
+
+_POINT_LOCUS = """{
+      "order": %d,
+      "zeroed": [
+        %d,
+        %d,
+        %d
+      ]
+    }"""
+
+_CURVE = """{
+      "type": %s,
+      "zeroed": [
+        %d,
+        %d
+      ]
+    }"""
 
 
 def _bool_word(flag: bool) -> str:
@@ -85,6 +133,9 @@ def _bool_word(flag: bool) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.degree.bit_length() > DEGREE_BITS:
+        print(f"error: degree over {DEGREE_BITS} bits", file=sys.stderr)
+        return EXIT_USAGE
     try:
         ws = WeightSystem(args.degree, tuple(args.weights))
     except ValueError as exc:
@@ -96,38 +147,45 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     bound = hypersurface.c2_lower_bound(ws) if calabi_yau else None
 
     if args.json:
-        document = {
-            "degree": ws.degree,
-            "weights": list(ws.weights),
-            "wellformed": wellformed,
-            "quasismooth": quasismooth,
-            "calabi_yau": calabi_yau,
-            "smooth_in_codim2": locus.smooth_in_codim2,
-            "contains_no_edge": locus.contains_no_edge,
-            "singular_vertices": list(locus.singular_vertices),
-            "contained_edges": [
-                {
-                    "zeroed": list(e.zeroed),
-                    "free_weights": list(e.free_weights),
-                    "singular": e.singular,
-                }
-                for e in locus.contained_edges
-            ],
-            "edge_point_loci": [
-                {"zeroed": list(e.zeroed), "order": e.order}
-                for e in locus.edge_point_loci
-            ],
-            "singular_curves": [
-                {"zeroed": list(c.zeroed), "type": str(c.quotient)}
-                for c in locus.singular_curves
-            ],
-            "c2_lower_bound": (
-                {"value": _frac(bound.lower_bound), "positive": bound.positive}
-                if bound
-                else None
-            ),
-        }
-        _emit_json(document)
+        if bound is None:
+            bound_json = "null"
+        else:
+            value = bound.lower_bound
+            bound_json = _BOUND % (
+                BOOL_TEXT[bound.positive], value.numerator, value.denominator
+            )
+        sys.stdout.write(
+            _ANALYZE
+            % (
+                bound_json,
+                BOOL_TEXT[calabi_yau],
+                json_array(
+                    [
+                        _EDGE % (*e.free_weights, BOOL_TEXT[e.singular], *e.zeroed)
+                        for e in locus.contained_edges
+                    ],
+                    "  ",
+                ),
+                BOOL_TEXT[locus.contains_no_edge],
+                ws.degree,
+                json_array(
+                    [_POINT_LOCUS % (e.order, *e.zeroed) for e in locus.edge_point_loci],
+                    "  ",
+                ),
+                BOOL_TEXT[quasismooth],
+                json_array(
+                    [
+                        _CURVE % (encode_basestring_ascii(str(c.quotient)), *c.zeroed)
+                        for c in locus.singular_curves
+                    ],
+                    "  ",
+                ),
+                json_array([str(v) for v in locus.singular_vertices], "  "),
+                BOOL_TEXT[locus.smooth_in_codim2],
+                *ws.weights,
+                BOOL_TEXT[wellformed],
+            )
+        )
         return EXIT_OK
 
     print(f"{ws}")
@@ -194,18 +252,30 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _gate_json(gate: surface.GateVerdict) -> dict:
-    if gate.possible:
-        return {"verdict": "possible"}
-    return {"verdict": "excluded", "reason": gate.reason}
+_SURFACE = """{
+  "classification": %s,
+  "conditional": %s,
+  "gate": %s,
+  "multiset": %s,
+  "orbifold_c2": "%d/%d",
+  "sum_k": %d
+}
+"""
 
+_VERDICT = """{
+    "verdict": %s
+  }"""
 
-def _classification_json(result: surface.Classification) -> dict:
-    document: dict = {"verdict": result.verdict}
-    if result.entry is not None:
-        document["entry"] = result.entry
-        document["label"] = result.label
-    return document
+_REALIZED = """{
+    "entry": %d,
+    "label": %s,
+    "verdict": %s
+  }"""
+
+_EXCLUDED = """{
+    "reason": %s,
+    "verdict": "excluded"
+  }"""
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
@@ -216,20 +286,38 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     c2 = surface.orbifold_c2(multiset)
+    widest = max(c2.denominator, abs(c2.numerator), multiset.sum_k)
+    if widest.bit_length() > INTEGER_BITS:
+        print(f"error: orbifold c2 or sum of k over {INTEGER_BITS} bits", file=sys.stderr)
+        return EXIT_USAGE
     gate = surface.abelian_type_gate(multiset)
     result = surface.classify(multiset)
     conditional = surface.is_conditional(multiset)
 
     if args.json:
-        _emit_json(
-            {
-                "multiset": str(multiset),
-                "sum_k": multiset.sum_k,
-                "orbifold_c2": _frac(c2),
-                "conditional": conditional,
-                "gate": _gate_json(gate),
-                "classification": _classification_json(result),
-            }
+        if result.entry is None:
+            classification = _VERDICT % encode_basestring_ascii(result.verdict)
+        else:
+            classification = _REALIZED % (
+                result.entry,
+                encode_basestring_ascii(result.label),
+                encode_basestring_ascii(result.verdict),
+            )
+        if gate.possible:
+            gate_json = _VERDICT % '"possible"'
+        else:
+            gate_json = _EXCLUDED % encode_basestring_ascii(gate.reason)
+        sys.stdout.write(
+            _SURFACE
+            % (
+                classification,
+                BOOL_TEXT[conditional],
+                gate_json,
+                encode_basestring_ascii(str(multiset)),
+                c2.numerator,
+                c2.denominator,
+                multiset.sum_k,
+            )
         )
         return EXIT_OK
 
@@ -247,12 +335,18 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_ENUMERATE = """{
+  "count": %d,
+  "multisets": %s
+}
+"""
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     multisets = surface.enumerate_zero_c2()
     if args.json:
-        _emit_json(
-            {"count": len(multisets), "multisets": [str(m) for m in multisets]}
-        )
+        encoded = [encode_basestring_ascii(str(m)) for m in multisets]
+        sys.stdout.write(_ENUMERATE % (len(multisets), json_array(encoded, "  ")))
         return EXIT_OK
     for multiset in multisets:
         print(multiset)
@@ -260,23 +354,49 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> dict:
-    return {
-        "label": report.label,
-        "group_order": report.group_order,
-        "orbits": [
-            {
-                "representative": [_frac(x) for x in orbit.representative],
-                "size": orbit.size,
-                "stabilizer_order": orbit.stabilizer_order,
-                "stabilizer": orbit.stabilizer_class,
-                "du_val": str(orbit.du_val),
-            }
-            for orbit in report.orbits
-        ],
-        "multiset": str(report.multiset),
-        "orbifold_c2": _frac(c2),
-    }
+_QUOTIENT = """{
+  "group_order": %d,
+  "label": %s,
+  "multiset": %s,
+  "orbifold_c2": "%d/%d",
+  "orbits": %s
+}
+"""
+
+_ORBIT = """{
+      "du_val": %s,
+      "representative": [
+        "%d/%d",
+        "%d/%d",
+        "%d/%d",
+        "%d/%d"
+      ],
+      "size": %d,
+      "stabilizer": %s,
+      "stabilizer_order": %d
+    }"""
+
+
+def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> str:
+    orbits = [
+        _ORBIT
+        % (
+            encode_basestring_ascii(str(orbit.du_val)),
+            *(part for x in orbit.representative for part in (x.numerator, x.denominator)),
+            orbit.size,
+            encode_basestring_ascii(orbit.stabilizer_class),
+            orbit.stabilizer_order,
+        )
+        for orbit in report.orbits
+    ]
+    return _QUOTIENT % (
+        report.group_order,
+        encode_basestring_ascii(report.label),
+        encode_basestring_ascii(str(report.multiset)),
+        c2.numerator,
+        c2.denominator,
+        json_array(orbits, "  "),
+    )
 
 
 def _positive_int(text: str) -> int:
@@ -310,7 +430,7 @@ def _cmd_torus(args: argparse.Namespace) -> int:
     c2 = surface.orbifold_c2(report.multiset)
 
     if args.json:
-        _emit_json(_quotient_json(report, c2))
+        sys.stdout.write(_quotient_json(report, c2))
         return EXIT_OK
 
     print(f"action {report.label or '(unnamed)'}: group of order {report.group_order}")
@@ -393,10 +513,40 @@ _PARSER = build_parser()
 )
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _direct(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace of an ``analyze`` request of six integer tokens or a
+    ``surface`` request of one token, either with an optional trailing
+    ``--json``, built without argparse (see the module docstring); None for
+    any other request."""
+    if not argv:
+        return None
+    flag = argv[-1] == "--json"
+    operands = argv[1 : len(argv) - flag]
+    if argv[0] == "analyze":
+        if len(operands) != 6 or not all(map(_INTEGER.fullmatch, operands)):
+            return None
+        try:
+            degree, *weights = map(int, operands)
+        except ValueError:  # over int's digit limit: the parser words the error
+            return None
+        return argparse.Namespace(
+            degree=degree, weights=weights, json=flag, handler=_cmd_analyze
+        )
+    if argv[0] == "surface" and len(operands) == 1 and operands[0][:1] != "-":
+        return argparse.Namespace(multiset=operands[0], json=flag, handler=_cmd_surface)
+    return None
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """Parse a request by the parser of the subcommand it names, which the
     top-level parser would hand it to; any other request, and leftover
     arguments, get the top-level parser's usage and error text."""
+    args = _direct(argv)
+    if args is not None:
+        return args
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return _PARSER.parse_args(argv)

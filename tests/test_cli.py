@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk import cli, torusq
+from cytk import census, cli, hypersurface, surface, torusq
 from cytk.arith import is_pair_partitionable
 from cytk.cli import main
+from cytk.wps import WeightSystem
 
 
 KUMMER_ACTION = {
@@ -51,6 +55,7 @@ SHEAR_ACTION = {
 # Reports of the builtin actions, text and --json, one file each.
 TORUS_GOLDEN = Path(__file__).resolve().parent / "data" / "torus"
 SRC = Path(__file__).resolve().parents[1] / "src"
+KS_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "kreuzer_skarke_wp4.txt"
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +151,37 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "10", "2", "2", "2", "2", "2")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_largest_accepted_degree_prints(self, capsys, form):
+        # five near-equal weights prime to d: the c2 bound's denominator,
+        # 10·N over a small factor, is about as wide as a Calabi-Yau
+        # degree of this size allows
+        d = 2**cli.DEGREE_BITS - 1
+        weights = tuple(d // 5 + step for step in (-5, -5, -4, 4, 10))
+        assert sum(weights) == d
+        code, out, err = run_cli(capsys, "analyze", str(d), *map(str, weights), *form)
+        assert (code, err) == (0, "")
+        bound = hypersurface.c2_lower_bound(WeightSystem(d, weights)).lower_bound
+        assert len(str(bound.denominator)) == 4296
+        assert f"{bound.numerator}/{bound.denominator}" in out
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (1, 1, 1, 1, 2**cli.DEGREE_BITS - 4),
+            # the c2 bound's denominator would have over 7500 digits
+            (1, *(10**1500 + k for k in (7, 9, 11, 13))),
+        ],
+        ids=["one-bit-over", "c2-over-4300-digits"],
+    )
+    def test_degree_over_the_bound_exit_2(self, capsys, weights, form):
+        argv = ["analyze", str(sum(weights)), *map(str, weights), *form]
+        assert sum(weights).bit_length() > cli.DEGREE_BITS
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: degree over {cli.DEGREE_BITS} bits\n"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -320,6 +356,31 @@ class TestSurface:
         code, _, err = run_cli(capsys, "surface", "2Q5")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_widest_printed_integer_at_the_bound(self, capsys, form):
+        # n A1 has c2 = (48 - 3n)/2: at this n the numerator is
+        # -(2**INTEGER_BITS - 1), and at n + 2 it is a bit wider, -(2**INTEGER_BITS + 5)
+        n = (2**cli.INTEGER_BITS + 47) // 3
+        code, out, err = run_cli(capsys, "surface", f"{n}A1", *form)
+        assert (code, err) == (0, "")
+        assert str(-(2**cli.INTEGER_BITS - 1)) + "/2" in out
+        code, out, err = run_cli(capsys, "surface", f"{n + 2}A1", *form)
+        assert (code, out) == (2, "")
+        assert err == f"error: orbifold c2 or sum of k over {cli.INTEGER_BITS} bits\n"
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_lcm_over_the_bound_exit_2(self, form):
+        # r = 10**3000, 8...89 and 7...72, of 3000 digits each: c2's
+        # denominator, their lcm, would have about 9000 digits
+        text = "+".join(["A" + "9" * 3000, "A" + "8" * 3000, "A" + "7" * 2999 + "1"])
+        result = subprocess.run(
+            [sys.executable, "-m", "cytk", "surface", text, *form],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"error: orbifold c2 or sum of k over {cli.INTEGER_BITS} bits\n",
+        )
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "surface", "2A3+11A1", "--json")
@@ -588,36 +649,82 @@ class TestTorusQuotient:
         assert json.dumps(document, sort_keys=True, indent=2) == out.strip()
 
 
-# Strings with quotes, backslashes, control, non-ASCII and astral characters.
-_json_text = st.text(
-    st.sampled_from(["\"", "\\", "\x00", "\x1f", "\n", "\t", "é", "\U0001f600", "a"])
-    | st.characters()
+def assert_reserializes(out):
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def json_reply(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json"])
+    assert (code, err.getvalue()) == (0, "")
+    assert_reserializes(out.getvalue())
+    return json.loads(out.getvalue())
+
+
+with open(KS_LIST, encoding="utf-8") as _handle:
+    KS_SYSTEMS = [record.ws for record in census.parse_database(_handle)[0]]
+
+
+@st.composite
+def weight_systems(draw):
+    """Valid analyze requests: degree at least the largest of five globally
+    coprime weights, the weight sum half the time."""
+    weights = draw(
+        st.lists(st.integers(1, 400), min_size=5, max_size=5).filter(
+            lambda w: math.gcd(*w) == 1
+        )
+    )
+    if draw(st.booleans()):
+        return sum(weights), weights
+    return draw(st.integers(max(weights), 3 * sum(weights))), weights
+
+
+_DU_VAL_TYPES = (
+    [f"A{n}" for n in range(1, 20)] + [f"D{n}" for n in range(4, 20)] + ["E6", "E7", "E8"]
 )
-_json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(max_value=-(2**70))
-    | _json_text,
-    lambda children: st.lists(children) | st.dictionaries(_json_text, children),
-    max_leaves=25,
+ZERO_C2 = [str(m) for m in surface.enumerate_zero_c2()]
+multisets = (
+    st.sampled_from([str(m) for _, _, m in surface.REALIZED] + ZERO_C2)
+    | st.dictionaries(
+        st.sampled_from(_DU_VAL_TYPES), st.integers(1, 20), min_size=1, max_size=5
+    ).map(lambda counts: "+".join(f"{n}{t}" for t, n in counts.items()))
 )
 
 
 class TestJsonEmitter:
-    @settings(max_examples=300, deadline=None)
-    @given(_json_values)
-    def test_matches_stdlib_indent_2(self, value):
-        assert cli._encode(value) == json.dumps(value, sort_keys=True, indent=2)
+    """Every --json reply is its document as ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes it, plus a newline."""
 
-    def test_empty_containers_nested(self):
-        value = {"a": [], "b": {}, "c": [[], {}], "d": [{"e": []}]}
-        assert cli._encode(value) == json.dumps(value, sort_keys=True, indent=2)
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(KS_SYSTEMS))
+    def test_analyze_ks_records(self, ws):
+        document = json_reply(["analyze", str(ws.degree), *map(str, ws.weights)])
+        assert document["weights"] == list(ws.weights)
 
-    @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}])
-    def test_other_types_are_refused(self, value):
-        with pytest.raises(TypeError):
-            cli._encode({"x": value})
+    @settings(max_examples=150, deadline=None)
+    @given(weight_systems())
+    def test_analyze_random_systems(self, system):
+        d, weights = system
+        document = json_reply(["analyze", str(d), *map(str, weights)])
+        assert (document["c2_lower_bound"] is None) == (d != sum(weights))
+
+    @settings(max_examples=150, deadline=None)
+    @given(multisets)
+    def test_surface_multisets(self, text):
+        document = json_reply(["surface", text])
+        verdict = document["classification"]["verdict"]
+        assert ("entry" in document["classification"]) == (verdict == "realized")
+
+    @pytest.mark.parametrize("name", list(torusq.BUILTIN_EXPECTED))
+    def test_torus_builtins(self, name):
+        assert json_reply(["torus-quotient", "--builtin", name])["label"] == name
+
+    def test_torus_label_that_needs_escaping(self, tmp_path):
+        label = 'a "quoted" \\ label\x00\n\té\U0001f600'
+        action = tmp_path / "label.json"
+        action.write_text(json.dumps({**KUMMER_ACTION, "label": label}), encoding="utf-8")
+        assert json_reply(["torus-quotient", "--file", str(action)])["label"] == label
 
     @pytest.mark.parametrize(
         "argv, shows",
@@ -638,6 +745,10 @@ class TestJsonEmitter:
             (["surface", "5A4"], lambda d: d["gate"]["verdict"] == "excluded"),
             (["surface", "A1"], lambda d: d["conditional"]),
             (["enumerate-zero-c2"], lambda d: d["count"] == len(d["multisets"]) == 35),
+            (
+                ["analyze", "1734", "91", "96", "102", "578", "867"],
+                lambda d: len(d["edge_point_loci"]) == 6 and d["singular_vertices"],
+            ),
         ],
     )
     def test_reply_is_the_stdlib_encoding(self, capsys, argv, shows):
@@ -741,6 +852,33 @@ def _outcome(capsys, call, argv):
 
 QUINTIC = ["5", "1", "1", "1", "1", "1"]
 
+# Tokens that argparse reads as positionals, that int() converts or
+# refuses, and options, well-formed or not.
+_OPERANDS = st.sampled_from(
+    ["5", "1", "-1", "-0", "007", "120", "9" * 5000, "+5", "5_0", "-5_0", "\u0665",
+     " 5", "5\n", "x", "1e3", "", "16A1", "2A3+11A1", "-h", "--help", "--js",
+     "--json", "--json=1", "--", "-", "-x"]
+)
+
+
+def _by_subcommand_parser(argv):
+    """The argparse path: the subcommand's parser, leftovers an error."""
+    args, extras = cli._COMMANDS[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        cli._PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _parsed(parse, argv):
+    """(namespace as a dict, or the exit code; stdout; stderr) of a parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
 
 class TestDirectDispatch:
     """main sends a request straight to its subcommand's parser; the exit
@@ -794,6 +932,9 @@ class TestDirectDispatch:
             ["torus-quotient"],
             ["torus-quotient", "--builtin", "kummer", "--list-builtins"],
             ["surface", "--js", "16A1"],
+            # a degree over int's digit limit, and --json before the operands
+            ["analyze", "{digits}", "1", "1", "1", "1", "1"],
+            ["analyze", "--json", *QUINTIC],
         ],
         ids=lambda argv: " ".join(argv) or "(none)",
     )
@@ -802,10 +943,28 @@ class TestDirectDispatch:
         sample.write_text("5 1 1 1 1 1\n120 3 7 20 40 50\n", encoding="utf-8")
         action = tmp_path / "kummer.json"
         action.write_text(json.dumps(KUMMER_ACTION), encoding="utf-8")
-        argv = [arg.format(sample=sample, action=action) for arg in argv]
+        argv = [
+            arg.format(sample=sample, action=action, digits="9" * 5000) for arg in argv
+        ]
         direct = _outcome(capsys, main, argv)
         assert direct == _outcome(capsys, _top_level, argv)
         assert direct[1] or direct[2]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_direct_parse_matches_the_subcommand_parser(self, data):
+        command = data.draw(st.sampled_from(["analyze", "surface"]))
+        size = 6 if command == "analyze" else 1
+        argv = [command, *data.draw(st.lists(_OPERANDS, min_size=size, max_size=size))]
+        if data.draw(st.booleans()):
+            argv.append("--json")
+        for _ in range(data.draw(st.integers(0, 2))):
+            spot = data.draw(st.integers(1, len(argv)))
+            if data.draw(st.booleans()):
+                argv.insert(spot, data.draw(_OPERANDS))
+            elif spot < len(argv):
+                del argv[spot]
+        assert _parsed(cli._parse, argv) == _parsed(_by_subcommand_parser, argv)
 
     def test_unrecognized_arguments_message(self, capsys):
         code, out, err = _outcome(capsys, main, ["analyze", *QUINTIC, "--bogus"])
