@@ -3,17 +3,16 @@ torus-quotient subcommands, with human-readable or JSON output.
 
 One argument parser, built when the module is imported, serves every
 call of ``main``, and concurrent callers can share it, since it keeps no
-per-call state.  Each request is parsed once, by its own subcommand's
-parser: ``main`` looks the first argument up among the subcommands rather
-than letting the top-level parser scan the whole command line first.
-Usage and error text are those of the top-level path.  Two request shapes
-skip argparse altogether: ``analyze`` with six tokens of ASCII digits,
-each with an optional leading ``-``, and ``surface`` with one token that
-does not start with ``-``, either with an optional trailing ``--json``.
-argparse reads such tokens as positionals and ``int`` converts them as it
-would, so the namespace built directly is the one the subcommand's parser
-returns.  Any other request, and a token ``int`` refuses, goes to that
-parser.
+per-call state.  A request takes one of two paths.  The common shapes
+skip argparse: ``analyze`` with six tokens of ASCII digits, each with an
+optional leading ``-``; ``surface`` with one token that does not start
+with ``-``; ``enumerate-zero-c2`` with no operand; and
+``torus-quotient --builtin X`` or ``--file X`` with an X that does not
+start with ``-``; each with an optional trailing ``--json``.  argparse
+reads such tokens as positionals or option values, and ``int`` converts
+them as it would, so the namespace built directly is the one the parser
+returns.  Any other request, and a token ``int`` refuses, goes to the
+top-level parser, which gives every usage and error text.
 
 Rationals are serialized as "num/den" strings so that JSON output stays
 exact.  Each ``--json`` reply is exactly ``json.dumps(document,
@@ -26,8 +25,10 @@ C escaper ``encode_basestring_ascii`` and arrays of varying length through
 
 An integer printed in a reply stays within ``INTEGER_BITS`` bits, below
 Python's 4300-digit limit for printing an int: ``analyze`` rejects a
-degree over ``DEGREE_BITS`` bits and ``surface`` a multiset whose orbifold
-c2 or sum of k would be wider, with exit 2 and before any output.
+degree over ``DEGREE_BITS`` bits and ``surface`` a multiset whose sum of
+k, lcm of local group orders or orbifold c2 numerator is wider, with exit
+2 and before any output.  The lcm is a multiple of c2's denominator, so a
+multiset may be rejected for it while that denominator is narrower.
 
 ``census -`` reads stdin as bytes and decodes them as strictly as a file,
 so a byte that is not UTF-8 is an I/O error whatever the locale.
@@ -41,7 +42,9 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from typing import Optional, Sequence
 
 from cytk import census as census_mod
@@ -285,10 +288,24 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    too_wide = f"error: orbifold c2 or sum of k over {INTEGER_BITS} bits"
+    if multiset.sum_k.bit_length() > INTEGER_BITS:
+        print(too_wide, file=sys.stderr)
+        return EXIT_USAGE
+    # c2's denominator divides the lcm of the local orders.  The lcm is
+    # bounded as it grows, one type at a time, because building c2 from a
+    # long multiset of wide types costs seconds before its width shows.
+    orders = accumulate((typ.r for typ, _ in multiset), lcm)
+    if any(order.bit_length() > INTEGER_BITS for order in orders):
+        print(
+            f"error: lcm of the local group orders over {INTEGER_BITS} bits "
+            "(the orbifold c2 denominator divides it and may be narrower)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     c2 = surface.orbifold_c2(multiset)
-    widest = max(c2.denominator, abs(c2.numerator), multiset.sum_k)
-    if widest.bit_length() > INTEGER_BITS:
-        print(f"error: orbifold c2 or sum of k over {INTEGER_BITS} bits", file=sys.stderr)
+    if c2.numerator.bit_length() > INTEGER_BITS:
+        print(too_wide, file=sys.stderr)
         return EXIT_USAGE
     gate = surface.abelian_type_gate(multiset)
     result = surface.classify(multiset)
@@ -505,55 +522,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
-# Each subcommand's own parser by name: the choices of the subparsers action.
-(_COMMANDS,) = (
-    action.choices
-    for action in _PARSER._actions
-    if isinstance(action, argparse._SubParsersAction)
-)
 
 
 _INTEGER = re.compile("-?[0-9]+")
 
 
 def _direct(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The namespace of an ``analyze`` request of six integer tokens or a
-    ``surface`` request of one token, either with an optional trailing
-    ``--json``, built without argparse (see the module docstring); None for
-    any other request."""
+    """The namespace of a request of one of the shapes the module docstring
+    lists, built without argparse; None for any other request."""
     if not argv:
         return None
+    command = argv[0]
     flag = argv[-1] == "--json"
     operands = argv[1 : len(argv) - flag]
-    if argv[0] == "analyze":
-        if len(operands) != 6 or not all(map(_INTEGER.fullmatch, operands)):
+    if command == "analyze" and len(operands) == 6:
+        if not all(map(_INTEGER.fullmatch, operands)):
             return None
         try:
             degree, *weights = map(int, operands)
         except ValueError:  # over int's digit limit: the parser words the error
             return None
-        return argparse.Namespace(
-            degree=degree, weights=weights, json=flag, handler=_cmd_analyze
-        )
-    if argv[0] == "surface" and len(operands) == 1 and operands[0][:1] != "-":
-        return argparse.Namespace(multiset=operands[0], json=flag, handler=_cmd_surface)
-    return None
+        fields = dict(degree=degree, weights=weights, handler=_cmd_analyze)
+    elif command == "surface" and len(operands) == 1 and operands[0][:1] != "-":
+        fields = dict(multiset=operands[0], handler=_cmd_surface)
+    elif command == "enumerate-zero-c2" and not operands:
+        fields = dict(handler=_cmd_enumerate)
+    elif (
+        command == "torus-quotient" and len(operands) == 2
+        and operands[0] in ("--builtin", "--file") and operands[1][:1] != "-"
+    ):
+        fields = dict(builtin=None, file=None, list_builtins=False, handler=_cmd_torus)
+        fields[operands[0][2:]] = operands[1]
+    else:
+        return None
+    return argparse.Namespace(command=command, json=flag, **fields)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse a request by the parser of the subcommand it names, which the
-    top-level parser would hand it to; any other request, and leftover
-    arguments, get the top-level parser's usage and error text."""
-    args = _direct(argv)
-    if args is not None:
-        return args
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is None:
-        return _PARSER.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """Parse a request directly if it has one of the direct shapes, else by
+    the top-level parser."""
+    return _direct(argv) or _PARSER.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -43,7 +43,6 @@ Numerators = tuple[int, ...]
 # of order 8 or 12, or binary tetrahedral, so it has at most 24 elements,
 # and the bound only stops the closure of an infinite group.
 CAP = 48
-ALLOWED_ORDERS = frozenset({1, 2, 3, 4, 6})
 # The largest common translation denominator D accepted.  The orbit
 # representatives are printed as numerators over a divisor of 144 * D
 # (|det(M - I)| is 16 or 9 for the elements solved), and Python prints an
@@ -55,7 +54,7 @@ DENOMINATOR_BITS = 14000
 # characteristic polynomials a canonical linear part may have.  Over Q a
 # quartic characteristic polynomial and the power sums (tr M, tr M^2,
 # tr M^3, tr M^4) determine each other by Newton's identities, so the
-# power sums are what is compared.
+# power sums are what is compared.  The keys are the allowed element orders.
 _CANONICAL_POWER_SUMS = {
     1: (4, 4, 4, 4),
     2: (-4, 4, -4, 4),
@@ -254,7 +253,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
         if linear == _IDENTITY and any(shift):
             raise ActionValidationError("contains nontrivial translation")
     for traces, n in zip(walks, orders):
-        if n not in ALLOWED_ORDERS:
+        if n not in _CANONICAL_POWER_SUMS:
             raise ActionValidationError(f"element of forbidden order {n}")
         # M^n = I, so tr M^k = tr M^((k-1) mod n + 1).
         if tuple(traces[k % n] for k in range(4)) != _CANONICAL_POWER_SUMS[n]:

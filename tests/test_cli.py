@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -334,6 +335,12 @@ def run_in_c_locale(argv, stdin: bytes) -> subprocess.CompletedProcess:
     )
 
 
+LCM_OVER = (
+    f"error: lcm of the local group orders over {cli.INTEGER_BITS} bits "
+    "(the orbifold c2 denominator divides it and may be narrower)\n"
+)
+
+
 class TestSurface:
     def test_realized(self, capsys):
         code, out, _ = run_cli(capsys, "surface", "16A1")
@@ -378,9 +385,33 @@ class TestSurface:
             [sys.executable, "-m", "cytk", "surface", text, *form],
             capture_output=True, text=True, timeout=60,
         )
-        assert (result.returncode, result.stdout, result.stderr) == (
-            2, "", f"error: orbifold c2 or sum of k over {cli.INTEGER_BITS} bits\n",
-        )
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", LCM_OVER)
+
+    def test_long_multiset_of_wide_types_rejected_fast(self, capsys):
+        # 30 types of 4000 digits, 120 KB: the lcm passes the bound at the
+        # second type, long before c2 could be built
+        rng = random.Random(0)
+        text = "+".join("A" + str(rng.randrange(10**3999, 10**4000)) for _ in range(30))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "surface", text)
+        assert time.perf_counter() - start < 0.25
+        assert (code, out, err) == (2, "", LCM_OVER)
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_lcm_at_the_bound(self, capsys, form):
+        # r copies of A(r-1) for three pairwise coprime r: c2 is the integer
+        # 27 - (sum of r^2), of about 9525 bits, and its denominator 1, but
+        # the lcm of the r's is their product
+        low = (2**4761 - 1, 2**4761 + 1)
+        at, over = (*low, 2**4762 - 3), (*low, 2**4762 + 1)
+        assert math.lcm(*at).bit_length() == cli.INTEGER_BITS
+        assert math.lcm(*over).bit_length() == cli.INTEGER_BITS + 1
+        text = "+".join(f"{r}A{r - 1}" for r in at)
+        code, out, err = run_cli(capsys, "surface", text, *form)
+        assert (code, err) == (0, "")
+        assert str(27 - sum(r * r for r in at)) in out
+        text = "+".join(f"{r}A{r - 1}" for r in over)
+        assert run_cli(capsys, "surface", text, *form) == (2, "", LCM_OVER)
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "surface", "2A3+11A1", "--json")
@@ -852,21 +883,23 @@ def _outcome(capsys, call, argv):
 
 QUINTIC = ["5", "1", "1", "1", "1", "1"]
 
-# Tokens that argparse reads as positionals, that int() converts or
-# refuses, and options, well-formed or not.
+# Tokens that argparse reads as positionals or option values, that int()
+# converts or refuses, and options, well-formed or not.
 _OPERANDS = st.sampled_from(
     ["5", "1", "-1", "-0", "007", "120", "9" * 5000, "+5", "5_0", "-5_0", "\u0665",
      " 5", "5\n", "x", "1e3", "", "16A1", "2A3+11A1", "-h", "--help", "--js",
-     "--json", "--json=1", "--", "-", "-x"]
+     "--json", "--json=1", "--", "-", "-x", "--file", "--builtin", "--list-builtins",
+     "--fi", "--file=x", "kummer"]
 )
-
-
-def _by_subcommand_parser(argv):
-    """The argparse path: the subcommand's parser, leftovers an error."""
-    args, extras = cli._COMMANDS[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        cli._PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+# The operands of each directly parsed shape, by command.
+_DIRECT_OPERANDS = {
+    "analyze": st.lists(_OPERANDS, min_size=6, max_size=6),
+    "surface": st.lists(_OPERANDS, min_size=1, max_size=1),
+    "enumerate-zero-c2": st.just([]),
+    "torus-quotient": st.tuples(
+        st.sampled_from(["--file", "--builtin"]) | _OPERANDS, _OPERANDS
+    ).map(list),
+}
 
 
 def _parsed(parse, argv):
@@ -881,8 +914,8 @@ def _parsed(parse, argv):
 
 
 class TestDirectDispatch:
-    """main sends a request straight to its subcommand's parser; the exit
-    code, stdout and stderr are those of the top-level parser's path."""
+    """main parses the common request shapes without argparse; the exit
+    code, stdout and stderr are those of the top-level parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -952,10 +985,9 @@ class TestDirectDispatch:
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
-    def test_direct_parse_matches_the_subcommand_parser(self, data):
-        command = data.draw(st.sampled_from(["analyze", "surface"]))
-        size = 6 if command == "analyze" else 1
-        argv = [command, *data.draw(st.lists(_OPERANDS, min_size=size, max_size=size))]
+    def test_direct_parse_matches_the_top_level_parser(self, data):
+        command = data.draw(st.sampled_from(sorted(_DIRECT_OPERANDS)))
+        argv = [command, *data.draw(_DIRECT_OPERANDS[command])]
         if data.draw(st.booleans()):
             argv.append("--json")
         for _ in range(data.draw(st.integers(0, 2))):
@@ -964,7 +996,7 @@ class TestDirectDispatch:
                 argv.insert(spot, data.draw(_OPERANDS))
             elif spot < len(argv):
                 del argv[spot]
-        assert _parsed(cli._parse, argv) == _parsed(_by_subcommand_parser, argv)
+        assert _parsed(cli._parse, argv) == _parsed(cli._PARSER.parse_args, argv)
 
     def test_unrecognized_arguments_message(self, capsys):
         code, out, err = _outcome(capsys, main, ["analyze", *QUINTIC, "--bogus"])

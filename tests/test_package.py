@@ -1,6 +1,7 @@
 """The package's public names and the boundaries between its modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cytk
@@ -25,10 +26,9 @@ def is_module(name):
     return name == "cytk" or path.with_suffix(".py").exists()
 
 
-def private_names_from_other_modules(path):
-    """(line, name) of each ``_``-prefixed module-level name of another
-    cytk module that the source at ``path`` imports or reads."""
-    own = f"cytk.{path.stem}" if path.parent == PACKAGE else None
+def cytk_names(path):
+    """(line, module, name) of each module-level name of a cytk module that
+    the source at ``path`` imports or reads."""
     bound = {}  # local name -> the cytk module it stands for
     found = []
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -48,18 +48,29 @@ def private_names_from_other_modules(path):
                 name = f"{module}.{alias.name}"
                 if is_module(name):
                     bound[alias.asname or alias.name] = name
-                elif alias.name.startswith("_") and module != own:
-                    found.append((node.lineno, name))
+                else:
+                    found.append((node.lineno, module, alias.name))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+        if isinstance(node, ast.Attribute):
             owner = dotted(node.value)
             if owner is None or owner.split(".")[0] not in bound:
                 continue
             head, _, rest = owner.partition(".")
             module = ".".join(filter(None, (bound[head], rest)))
-            if is_module(module) and module != own:
-                found.append((node.lineno, f"{module}.{node.attr}"))
+            if is_module(module):
+                found.append((node.lineno, module, node.attr))
     return found
+
+
+def private_names_from_other_modules(path):
+    """(line, name) of each ``_``-prefixed module-level name of another
+    cytk module that the source at ``path`` imports or reads."""
+    own = f"cytk.{path.stem}" if path.parent == PACKAGE else None
+    return [
+        (line, f"{module}.{name}")
+        for line, module, name in cytk_names(path)
+        if name.startswith("_") and module != own
+    ]
 
 
 def test_public_names_resolve_and_no_private_name_crosses_modules():
@@ -71,3 +82,17 @@ def test_public_names_resolve_and_no_private_name_crosses_modules():
         if (found := private_names_from_other_modules(path))
     }
     assert crossings == {}
+
+
+def test_every_cytk_name_the_benchmark_reads_exists():
+    # perfbench/ imports some private names, such as the builtin torus
+    # specifications make_data.py writes its data from; deleting one must
+    # fail here rather than break the benchmark's data script unnoticed.
+    missing = [
+        (str(path.relative_to(ROOT)), line, f"{module}.{name}")
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for line, module, name in cytk_names(path)
+        if not hasattr(importlib.import_module(module), name)
+        and not is_module(f"{module}.{name}")
+    ]
+    assert missing == []

@@ -226,7 +226,7 @@ class TestCloseGroup:
     def test_order_five_rejected(self):
         # companion matrix of x^4+x^3+x^2+x+1: an order-5 lattice action
         m = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
-        with pytest.raises(ActionValidationError, match="order 5"):
+        with pytest.raises(ActionValidationError, match="^element of forbidden order 5$"):
             close_group([AffineTorusMap(tuple(tuple(r) for r in m), ZERO4)])
 
     def test_noncanonical_order_three_rejected(self):
