@@ -12,6 +12,8 @@ and ``format_record`` writes it.
 from __future__ import annotations
 
 import csv
+import re
+import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, TextIO
@@ -21,6 +23,8 @@ from cytk.wps import WeightSystem
 
 N3 = "N3"  # record arrived with 4 weights, the d/2 weight was appended
 N4 = "N4"  # record arrived with all 5 weights
+
+_DIGITS = re.compile(r"[+-]?\d+(?:_\d+)*")  # the base-10 syntax of int()
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,8 @@ def parse_database(
     """One NormalizedRecord per non-comment, non-blank line.
 
     The leading integers of a line are degree then weights; everything from
-    the first non-integer token on is ignored.  Lines starting with '#' are
+    the first non-integer token on is ignored, but an integer over the
+    interpreter's digit limit fails its line.  Lines starting with '#' are
     comments.  A 4-weight record gets the weight d/2 appended, and every
     record must have d = sum(w).  Malformed lines are collected as
     (line number, message) and never abort the run.
@@ -104,12 +109,15 @@ def parse_database(
         if not stripped or stripped.startswith("#"):
             continue
         values: list[int] = []
-        for token in stripped.split():
-            try:
-                values.append(int(token))
-            except ValueError:
-                break
         try:
+            for token in stripped.split():
+                try:
+                    values.append(int(token))
+                except ValueError:
+                    if _DIGITS.fullmatch(token):  # so over int's digit limit
+                        limit = sys.get_int_max_str_digits()
+                        raise ValueError(f"integer over the {limit}-digit limit")
+                    break
             records.append(_record(values, lineno))
         except ValueError as exc:
             failures.append((lineno, str(exc)))

@@ -303,13 +303,10 @@ def _cmd_surface(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    c2 = surface.orbifold_c2(multiset)
-    if c2.numerator.bit_length() > INTEGER_BITS:
+    result = surface.classify(multiset)
+    if result.c2.numerator.bit_length() > INTEGER_BITS:
         print(too_wide, file=sys.stderr)
         return EXIT_USAGE
-    gate = surface.abelian_type_gate(multiset)
-    result = surface.classify(multiset)
-    conditional = surface.is_conditional(multiset)
 
     if args.json:
         if result.entry is None:
@@ -320,31 +317,31 @@ def _cmd_surface(args: argparse.Namespace) -> int:
                 encode_basestring_ascii(result.label),
                 encode_basestring_ascii(result.verdict),
             )
-        if gate.possible:
+        if result.gate is None:
             gate_json = _VERDICT % '"possible"'
         else:
-            gate_json = _EXCLUDED % encode_basestring_ascii(gate.reason)
+            gate_json = _EXCLUDED % encode_basestring_ascii(result.gate)
         sys.stdout.write(
             _SURFACE
             % (
                 classification,
-                BOOL_TEXT[conditional],
+                BOOL_TEXT[result.conditional],
                 gate_json,
                 encode_basestring_ascii(str(multiset)),
-                c2.numerator,
-                c2.denominator,
-                multiset.sum_k,
+                result.c2.numerator,
+                result.c2.denominator,
+                result.sum_k,
             )
         )
         return EXIT_OK
 
-    print(f"multiset: {multiset} (sum of k: {multiset.sum_k})")
-    note = " (conditional: fewer than 11 exceptional curves)" if conditional else ""
-    print(f"  orbifold c2: {c2}{note}")
-    if gate.possible:
+    print(f"multiset: {multiset} (sum of k: {result.sum_k})")
+    note = " (conditional: fewer than 11 exceptional curves)"
+    print(f"  orbifold c2: {result.c2}{note if result.conditional else ''}")
+    if result.gate is None:
         print("  abelian-quotient gate: possible")
     else:
-        print(f"  abelian-quotient gate: excluded ({gate.reason})")
+        print(f"  abelian-quotient gate: excluded ({result.gate})")
     if result.verdict == surface.REALIZED_VERDICT:
         print(f"  classification: realized, entry {result.entry} ({result.label})")
     else:

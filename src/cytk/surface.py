@@ -10,18 +10,21 @@ local group of order r(T); a surface with singularity multiset m has
 provided its minimal resolution is a K3 surface (automatic once the
 multiset carries at least 11 curves; below that the value is flagged
 conditional).
+
+``classify`` answers for a multiset in one report, whose abelian-quotient
+gate excludes it for c2 != 0 or, when c2 = 0, for sum k > 19.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 GATE_C2 = "c2 != 0"
-GATE_TOO_FEW = "sum k < 16"
 GATE_TOO_MANY = "sum k > 19"
 
 # Local group orders: cyclic for A_n, binary dihedral for D_n, binary
@@ -59,10 +62,10 @@ class DuValType:
             return 4 * (self.index - 2)
         return _E_ORDERS[self.index]
 
-    @property
-    def deficiency(self) -> Fraction:
-        """The summand k + 1 - 1/r contributed to the c2 formula."""
-        return self.k + 1 - Fraction(1, self.r)
+    def scaled_deficiency(self, scale: int) -> int:
+        """The type's summand k + 1 - 1/r of the c2 formula times ``scale``,
+        a multiple L of r: (k + 1)·L - L/r."""
+        return (self.k + 1) * scale - scale // self.r
 
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
@@ -98,21 +101,22 @@ class DuValMultiset:
             if not match:
                 raise ValueError(f"cannot parse multiset entry {chunk!r}")
             count, family, index = match.groups()
-            entries.append((DuValType(family, int(index)), int(count or "1")))
+            try:
+                index, count = int(index), int(count or "1")
+            except ValueError:  # the digits are over int's limit
+                raise ValueError(
+                    f"multiset entry {chunk[:40]!r}... has a count or index "
+                    f"over {sys.get_int_max_str_digits()} digits"
+                ) from None
+            entries.append((DuValType(family, index), count))
         return cls(tuple(entries))
 
     def __iter__(self) -> Iterator[tuple[DuValType, int]]:
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return sum(count for _, count in self.entries)
-
     @property
     def sum_k(self) -> int:
         return sum(typ.k * count for typ, count in self.entries)
-
-    def union(self, other: "DuValMultiset") -> "DuValMultiset":
-        return DuValMultiset(self.entries + other.entries)
 
     def __str__(self) -> str:
         if not self.entries:
@@ -130,38 +134,12 @@ def orbifold_c2(multiset: DuValMultiset) -> Fraction:
     """Exact value 24 - sum of (k + 1 - 1/r) over the multiset.
 
     The sum runs in integers: with L the lcm of the types' r (1 for the
-    empty multiset), each summand is ((k + 1)·L - L/r) / L, so the value
-    is (24·L - sum of count·((k + 1)·L - L/r)) / L, one ``Fraction``.
+    empty multiset), the value is (24·L - sum of count·scaled summand) / L,
+    one ``Fraction``.
     """
     scale = lcm(*(typ.r for typ, _ in multiset))
-    deficit = sum(
-        count * ((typ.k + 1) * scale - scale // typ.r) for typ, count in multiset
-    )
+    deficit = sum(count * typ.scaled_deficiency(scale) for typ, count in multiset)
     return Fraction(24 * scale - deficit, scale)
-
-
-def is_conditional(multiset: DuValMultiset) -> bool:
-    """True when fewer than 11 (-2)-curves are present, so the K3 hypothesis
-    behind the c2 formula is not automatic."""
-    return multiset.sum_k < 11
-
-
-@dataclass(frozen=True)
-class GateVerdict:
-    possible: bool
-    reason: Optional[str] = None
-
-
-def abelian_type_gate(multiset: DuValMultiset) -> GateVerdict:
-    """Necessary conditions for the surface to be a quotient of an abelian
-    surface: c2 = 0, at least 16 and at most 19 exceptional curves."""
-    if orbifold_c2(multiset) != 0:
-        return GateVerdict(False, GATE_C2)
-    if multiset.sum_k < 16:
-        return GateVerdict(False, GATE_TOO_FEW)
-    if multiset.sum_k > 19:
-        return GateVerdict(False, GATE_TOO_MANY)
-    return GateVerdict(True)
 
 
 # The ten singularity multisets realized by abelian-surface quotients,
@@ -181,6 +159,7 @@ REALIZED: tuple[tuple[int, str, DuValMultiset], ...] = tuple(
         (10, "C^2/L8 / BT24", "E6+D4+4A2+A1"),
     )
 )
+_REALIZED_BY_ENTRIES = {m.entries: (number, label) for number, label, m in REALIZED}
 
 K3_TYPE = "k3_type"
 REALIZED_VERDICT = "realized"
@@ -189,20 +168,35 @@ NOT_REALIZED = "not_realized"
 
 @dataclass(frozen=True)
 class Classification:
+    """The answer for one multiset: its orbifold ``c2`` and ``sum_k``, the
+    ``conditional`` flag (sum_k < 11: the K3 hypothesis is not automatic),
+    the ``gate`` (None, or why the multiset is no abelian-surface quotient:
+    ``c2 != 0`` or ``sum k > 19``) and the ``verdict``, with the ``entry``
+    and ``label`` of a realized multiset.
+
+    The gate needs no lower bound on sum_k: 1 - 1/r <= k/2 for every type,
+    so c2 = 0 forces 24 <= 3/2 · sum_k, that is sum_k >= 16.  The complete
+    list, ``enumerate_zero_c2()``, has 35 multisets with sums 16 to 20.
+    """
+
+    c2: Fraction
+    sum_k: int
+    conditional: bool
+    gate: Optional[str]
     verdict: str
     entry: Optional[int] = None
     label: Optional[str] = None
 
 
 def classify(multiset: DuValMultiset) -> Classification:
-    """Sort a multiset into K3 type (c2 != 0), one of the ten realized
-    abelian-quotient types, or provably not realized."""
-    if orbifold_c2(multiset) != 0:
-        return Classification(K3_TYPE)
-    for number, label, realized in REALIZED:
-        if realized == multiset:
-            return Classification(REALIZED_VERDICT, entry=number, label=label)
-    return Classification(NOT_REALIZED)
+    """The report of a multiset, with c2 and the sum of k computed once."""
+    c2, sum_k = orbifold_c2(multiset), multiset.sum_k
+    if c2 != 0:
+        return Classification(c2, sum_k, sum_k < 11, GATE_C2, K3_TYPE)
+    gate = GATE_TOO_MANY if sum_k > 19 else None
+    entry, label = _REALIZED_BY_ENTRIES.get(multiset.entries, (None, None))
+    verdict = NOT_REALIZED if entry is None else REALIZED_VERDICT
+    return Classification(c2, sum_k, sum_k < 11, gate, verdict, entry, label)
 
 
 def _candidate_types(max_k: int) -> list[DuValType]:
@@ -231,7 +225,7 @@ def enumerate_zero_c2(max_k: int = 19) -> list[DuValMultiset]:
     candidates = _candidate_types(max_k)
     scale = lcm(*(typ.r for typ in candidates))
     terms = sorted(
-        ((typ, (typ.k + 1) * scale - scale // typ.r) for typ in candidates),
+        ((typ, typ.scaled_deficiency(scale)) for typ in candidates),
         key=lambda pair: pair[1],
         reverse=True,
     )

@@ -32,7 +32,6 @@ from cytk.surface import (
     NOT_REALIZED,
     REALIZED,
     DuValMultiset,
-    abelian_type_gate,
     classify,
     enumerate_zero_c2,
     orbifold_c2,
@@ -115,8 +114,7 @@ def test_criterion_3_c2_suite():
     impossible = DuValMultiset.parse("2A3+11A1")
     assert orbifold_c2(five_a4) == 0
     assert orbifold_c2(impossible) == 0
-    gate = abelian_type_gate(five_a4)
-    assert not gate.possible and gate.reason == GATE_TOO_MANY
+    assert classify(five_a4).gate == GATE_TOO_MANY
     assert classify(impossible).verdict == NOT_REALIZED
     assert orbifold_c2(DuValMultiset(())) == 24
     report(

@@ -75,6 +75,18 @@ class TestParseDatabase:
         assert len(records) == 1
         assert [line for line, _ in failures] == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "token",
+        ["9" * 5000, "+" + "9" * 5000, "1_" * 4400 + "1"],
+        ids=["digits", "signed", "underscored"],
+    )
+    def test_integer_over_the_digit_limit_fails_its_line(self, token):
+        # int() refuses the token, which must not end the record early: the
+        # line would read as the 4-weight record 20; 1,2,3,4,10
+        records, failures = parse_database([f"20 1 2 3 4 {token}", "5 1 1 1 1 1"])
+        assert failures == [(1, "integer over the 4300-digit limit")]
+        assert [r.source_line for r in records] == [2]
+
     def test_odd_degree_four_weights_rejected(self):
         _, failures = parse_database(["9 1 1 3 4"])
         assert failures == [(1, "4-weight record with odd degree")]

@@ -55,6 +55,9 @@ SHEAR_ACTION = {
 
 # Reports of the builtin actions, text and --json, one file each.
 TORUS_GOLDEN = Path(__file__).resolve().parent / "data" / "torus"
+# Reports of surface requests, text and --json, one file each, named by the
+# multiset: every multiset with c2 = 0, and A1, 3A1 and A5+A3.
+SURFACE_GOLDEN = Path(__file__).resolve().parent / "data" / "surface"
 SRC = Path(__file__).resolve().parents[1] / "src"
 KS_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "kreuzer_skarke_wp4.txt"
 
@@ -412,6 +415,48 @@ class TestSurface:
         assert str(27 - sum(r * r for r in at)) in out
         text = "+".join(f"{r}A{r - 1}" for r in over)
         assert run_cli(capsys, "surface", text, *form) == (2, "", LCM_OVER)
+
+    def test_goldens_cover_the_zero_c2_list(self):
+        names = {path.stem for path in SURFACE_GOLDEN.iterdir()}
+        assert names == {str(m) for m in surface.enumerate_zero_c2()} | {
+            "A1", "3A1", "A5+A3"
+        }
+
+    @pytest.mark.parametrize(
+        "path", sorted(SURFACE_GOLDEN.iterdir()), ids=lambda path: path.name
+    )
+    def test_report_is_golden(self, capsys, path):
+        form = ["--json"] if path.suffix == ".json" else []
+        code, out, err = run_cli(capsys, "surface", path.stem, *form)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == path.read_bytes()
+
+    @pytest.mark.parametrize("text", ["A1", "5A4", "16A1", "A5+A3"])
+    def test_orbifold_c2_built_once(self, capsys, monkeypatch, text):
+        multisets = []
+        build = surface.orbifold_c2
+        monkeypatch.setattr(
+            surface, "orbifold_c2", lambda m: multisets.append(m) or build(m)
+        )
+        assert run_cli(capsys, "surface", text, "--json")[0] == 0
+        assert multisets == [surface.DuValMultiset.parse(text)]
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("A" + "9" * 4301, "A" + "9" * 39),
+            ("1" + "0" * 4300 + "A1", "1" + "0" * 39),
+            ("2A1+" + "7" * 5000 + "D4", "7" * 40),
+        ],
+        ids=["index", "count", "second-entry"],
+    )
+    def test_count_or_index_over_the_digit_limit(self, capsys, text, shown):
+        assert run_cli(capsys, "surface", text) == (
+            2,
+            "",
+            f"error: multiset entry '{shown}'... has a count or index "
+            "over 4300 digits\n",
+        )
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "surface", "2A3+11A1", "--json")

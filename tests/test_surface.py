@@ -11,7 +11,6 @@ from cytk.surface import (
     EMPTY,
     _candidate_types,
     GATE_C2,
-    GATE_TOO_FEW,
     GATE_TOO_MANY,
     K3_TYPE,
     NOT_REALIZED,
@@ -19,10 +18,8 @@ from cytk.surface import (
     REALIZED_VERDICT,
     DuValMultiset,
     DuValType,
-    abelian_type_gate,
     classify,
     enumerate_zero_c2,
-    is_conditional,
     orbifold_c2,
 )
 
@@ -31,10 +28,15 @@ ZERO_C2_COUNT = 35
 ZERO_C2_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "zero_c2.txt"
 
 
+def deficiency(typ):
+    """The definition of a type's summand k + 1 - 1/r, in Fractions."""
+    return typ.k + 1 - Fraction(1, typ.r)
+
+
 def fraction_zero_c2(max_k):
     """Test-only copy of the earlier search, in Fraction arithmetic and
     without pruning."""
-    types = sorted(_candidate_types(max_k), key=lambda t: t.deficiency, reverse=True)
+    types = sorted(_candidate_types(max_k), key=deficiency, reverse=True)
     solutions, acc = [], []
 
     def descend(idx, remaining):
@@ -43,7 +45,7 @@ def fraction_zero_c2(max_k):
             return
         if idx == len(types):
             return
-        term = types[idx].deficiency
+        term = deficiency(types[idx])
         for count in range(int(remaining / term), 0, -1):
             acc.append((types[idx], count))
             descend(idx + 1, remaining - count * term)
@@ -167,13 +169,13 @@ class TestOrbifoldC2:
     def test_additivity_of_deficiency_sum(self, left, right):
         m1 = DuValMultiset(tuple(left))
         m2 = DuValMultiset(tuple(right))
-        merged = m1.union(m2)
+        merged = DuValMultiset(m1.entries + m2.entries)
         assert orbifold_c2(merged) == orbifold_c2(m1) + orbifold_c2(m2) - 24
 
     @staticmethod
     def fraction_c2(multiset):
         """The definition, summed in Fractions."""
-        return 24 - sum(count * typ.deficiency for typ, count in multiset)
+        return 24 - sum(count * deficiency(typ) for typ, count in multiset)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -209,23 +211,23 @@ class TestOrbifoldC2:
 
 class TestGate:
     def test_five_a4_excluded_by_picard_bound(self):
-        gate = abelian_type_gate(DuValMultiset.parse("5A4"))
-        assert not gate.possible and gate.reason == GATE_TOO_MANY
+        assert classify(DuValMultiset.parse("5A4")).gate == GATE_TOO_MANY
 
     def test_sixteen_nodes_possible(self):
-        assert abelian_type_gate(DuValMultiset.parse("16A1")).possible
+        assert classify(DuValMultiset.parse("16A1")).gate is None
 
     def test_single_node_excluded_by_c2(self):
-        gate = abelian_type_gate(DuValMultiset.parse("A1"))
-        assert gate.reason == GATE_C2
+        assert classify(DuValMultiset.parse("A1")).gate == GATE_C2
 
-    def test_too_few_curves(self):
-        # 8A1 + D4: c2 = 24 - 12 - 39/8 != 0, so build one with c2 = 0:
-        # 4A3+6A1 has 18 curves; drop below 16 with c2 = 0 is impossible in
-        # the realized list, use a synthetic zero: 16 curves minimum shows
-        # through enumerate_zero_c2 below; here check the reason ordering.
-        gate = abelian_type_gate(DuValMultiset.parse("10A1"))
-        assert gate.reason == GATE_C2
+    def test_zero_c2_needs_no_lower_bound_on_curves(self):
+        # Every c2 = 0 multiset has at least 16 curves, so the gate excludes
+        # one only for c2 != 0 or for more than 19 curves.
+        multisets = enumerate_zero_c2()
+        assert min(m.sum_k for m in multisets) == 16
+        for multiset in multisets:
+            expected = GATE_TOO_MANY if multiset.sum_k > 19 else None
+            assert classify(multiset).gate == expected
+        assert any(m.sum_k > 19 for m in multisets)
 
 
 class TestClassify:
@@ -249,12 +251,21 @@ class TestClassify:
 
     def test_realized_implies_gate_possible(self):
         for _, _, multiset in REALIZED:
-            assert abelian_type_gate(multiset).possible
+            assert classify(multiset).gate is None
 
     def test_ten_multisets_have_16_to_19_curves_and_zero_c2(self):
         for _, _, multiset in REALIZED:
             assert orbifold_c2(multiset) == 0
             assert 16 <= multiset.sum_k <= 19
+
+    @pytest.mark.parametrize(
+        "text", ["A1", "3A1", "A5+A3", "2A3+11A1", "5A4", "16A1", "E6+D4+4A2+A1"]
+    )
+    def test_report_carries_c2_and_sum_k(self, text):
+        multiset = DuValMultiset.parse(text)
+        result = classify(multiset)
+        assert result.c2 == orbifold_c2(multiset)
+        assert result.sum_k == multiset.sum_k
 
 
 class TestEnumerateZeroC2:
@@ -298,9 +309,9 @@ class TestEnumerateZeroC2:
 
 class TestConditionalFlag:
     def test_small_multisets_are_conditional(self):
-        assert is_conditional(DuValMultiset.parse("3A1"))
-        assert is_conditional(DuValMultiset.parse("A5+A3"))
+        assert classify(DuValMultiset.parse("3A1")).conditional
+        assert classify(DuValMultiset.parse("A5+A3")).conditional
 
     def test_eleven_curves_not_conditional(self):
-        assert not is_conditional(DuValMultiset.parse("11A1"))
-        assert not is_conditional(DuValMultiset.parse("16A1"))
+        assert not classify(DuValMultiset.parse("11A1")).conditional
+        assert not classify(DuValMultiset.parse("16A1")).conditional
