@@ -6,6 +6,8 @@ All computations are carried out over the integers and rationals; no
 floating point enters any verdict.
 """
 
+from importlib import import_module
+
 from cytk.wps import CyclicQuotientType, WeightSystem
 from cytk.hypersurface import (
     C2BoundReport,
@@ -15,10 +17,27 @@ from cytk.hypersurface import (
     is_quasismooth,
     singular_locus,
 )
-from cytk.surface import DuValMultiset, DuValType, classify, orbifold_c2
-from cytk.torusq import AffineTorusMap, TorusAction, builtin_actions, close_group
 
 __version__ = "0.1.0"
+
+# The surface and torus-quotient names are imported when first read, so
+# that the hypersurface commands do not pay for importing those modules.
+_LAZY = {
+    "DuValMultiset": "surface",
+    "DuValType": "surface",
+    "classify": "surface",
+    "orbifold_c2": "surface",
+    "AffineTorusMap": "torusq",
+    "TorusAction": "torusq",
+    "builtin_actions": "torusq",
+    "close_group": "torusq",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module 'cytk' has no attribute {name!r}")
+    return getattr(import_module(f"cytk.{_LAZY[name]}"), name)
 
 __all__ = [
     "AffineTorusMap",

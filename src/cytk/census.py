@@ -16,7 +16,8 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence, TextIO
+from math import log10
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from cytk import hypersurface
 from cytk.wps import WeightSystem
@@ -27,15 +28,13 @@ N4 = "N4"  # record arrived with all 5 weights
 _DIGITS = re.compile(r"[+-]?\d+(?:_\d+)*")  # the base-10 syntax of int()
 
 
-@dataclass(frozen=True)
-class NormalizedRecord:
+class NormalizedRecord(NamedTuple):
     ws: WeightSystem
     origin: str
     source_line: int
 
 
-@dataclass(frozen=True)
-class RecordVerdict:
+class RecordVerdict(NamedTuple):
     line: int
     degree: int
     weights: tuple[int, int, int, int, int]
@@ -65,14 +64,27 @@ def format_record(degree: int, weights: Sequence[int]) -> str:
     return " ".join(map(str, (degree, *weights)))
 
 
+def _integer_text(x: int) -> str:
+    """A positive x in decimal, or, past 40 digits, its first 40 digits and
+    its digit count.  The bit length is read first, so a wide x, which may
+    be over the interpreter's digit limit, never reaches str() whole."""
+    if x.bit_length() > 132:  # x >= 2**132 > 10**39: 40 digits or more
+        digits = int((x.bit_length() - 1) * log10(2))  # at most the count
+        while 10**digits <= x:
+            digits += 1
+        if digits > 40:
+            return f"{x // 10 ** (digits - 40)}... ({digits} digits)"
+    return str(x)
+
+
 def _record(values: list[int], lineno: int) -> NormalizedRecord:
     """The record of a line's leading integers; ValueError says why they
     denote none."""
     if len(values) < 2:
         raise ValueError("no degree/weight integers found")
-    degree, weights = values[0], tuple(values[1:])
-    if degree <= 0 or any(w <= 0 for w in weights):
+    if min(values) <= 0:
         raise ValueError("degree and weights must be positive")
+    degree, weights = values[0], tuple(values[1:])
     if len(weights) == 4:
         if degree % 2 != 0:
             raise ValueError("4-weight record with odd degree")
@@ -84,10 +96,13 @@ def _record(values: list[int], lineno: int) -> NormalizedRecord:
         origin = N4
     else:
         raise ValueError(f"expected 4 or 5 weights, got {len(weights)}")
-    if sum(weights) != degree:
-        raise ValueError(f"degree {degree} is not the weight sum {sum(weights)}")
+    total = sum(weights)
+    if total != degree:
+        raise ValueError(
+            f"degree {_integer_text(degree)} is not the weight sum {_integer_text(total)}"
+        )
     ws = WeightSystem(degree, weights)  # may raise ValueError
-    return NormalizedRecord(ws=ws, origin=origin, source_line=lineno)
+    return NormalizedRecord(ws, origin, lineno)
 
 
 def parse_database(
@@ -105,12 +120,12 @@ def parse_database(
     records: list[NormalizedRecord] = []
     failures: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
             continue
         values: list[int] = []
         try:
-            for token in stripped.split():
+            for token in tokens:
                 try:
                     values.append(int(token))
                 except ValueError:
@@ -125,19 +140,19 @@ def parse_database(
 
 
 def _evaluate(record: NormalizedRecord) -> RecordVerdict:
-    ws = record.ws
+    ws, origin, line = record
     wellformed, quasismooth, locus = hypersurface.examine(ws)  # locus also for failures
-    return RecordVerdict(
-        line=record.source_line,
-        degree=ws.degree,
-        weights=ws.weights,
-        origin=record.origin,
-        wellformed=wellformed,
-        quasismooth=quasismooth,
-        calabi_yau=hypersurface.is_calabi_yau_degree(ws),
-        smooth_in_codim2=locus.smooth_in_codim2,
-        contains_no_edge=locus.contains_no_edge,
-        singular_curve_types=tuple(str(c.quotient) for c in locus.singular_curves),
+    return RecordVerdict(  # positional, in the order of the fields
+        line,
+        ws.degree,
+        ws.weights,
+        origin,
+        wellformed,
+        quasismooth,
+        hypersurface.is_calabi_yau_degree(ws),
+        locus.smooth_in_codim2,
+        locus.contains_no_edge,
+        tuple([str(c.quotient) for c in locus.singular_curves]),
     )
 
 
@@ -234,7 +249,13 @@ _RECORD = """{
       "quasismooth": %s,
       "singular_curve_types": %s,
       "smooth_in_codim2": %s,
-      "weights": %s,
+      "weights": [
+        %d,
+        %d,
+        %d,
+        %d,
+        %d
+      ],
       "wellformed": %s
     }"""
 
@@ -283,7 +304,7 @@ def write_json(
                     [encode_basestring_ascii(t) for t in v.singular_curve_types], "      "
                 ),
                 BOOL_TEXT[v.smooth_in_codim2],
-                json_array([str(w) for w in v.weights], "      "),
+                *v.weights,
                 BOOL_TEXT[v.wellformed],
             )
         )

@@ -48,7 +48,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from cytk import census as census_mod
-from cytk import hypersurface, surface, torusq
+from cytk import hypersurface
 from cytk.census import BOOL_TEXT, json_array
 from cytk.wps import WeightSystem
 
@@ -282,6 +282,8 @@ _EXCLUDED = """{
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
+    from cytk import surface  # here, so that census and analyze need not load it
+
     try:
         multiset = surface.DuValMultiset.parse(args.multiset)
     except ValueError as exc:
@@ -357,6 +359,8 @@ _ENUMERATE = """{
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from cytk import surface
+
     multisets = surface.enumerate_zero_c2()
     if args.json:
         encoded = [encode_basestring_ascii(str(m)) for m in multisets]
@@ -424,6 +428,8 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_torus(args: argparse.Namespace) -> int:
+    from cytk import surface, torusq
+
     if args.list_builtins:
         for action_name, expected in torusq.BUILTIN_EXPECTED.items():
             print(f"{action_name:15s} {expected}")

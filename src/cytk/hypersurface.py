@@ -5,16 +5,18 @@ positivity bound for the orbifold second Chern class.  Wellformedness,
 quasismoothness and the degree condition take any number of weights.
 
 Wellformedness, quasismoothness and the singular locus come from one pass
-over the pairs of weights (``examine``).  For a pair a, b it takes
-g = gcd(a, b) and the inverse of a/g modulo b/g once, and with them tests
-whether a and b partition d (the edge on which they are free lies in X
-unless they do; condition (3) of quasismoothness reads the same answer)
-and each d - w_j (condition (2), which asks for two indices j, so the
-count stops at the second hit).  It also takes once the gcd m of the other
-weights: m > 1 makes the two-face on which a and b vanish cut a singular
-curve of order m, and m, a gcd of n - 2 weights, must divide d for
-wellformedness, while gcd(m, a) and gcd(m, b), gcds of n - 1 weights, must
-be 1.  ``is_quasismooth``, ``is_wellformed_hypersurface``,
+over the pairs of weights (``examine``).  It takes every pair gcd
+g = gcd(a, b) first.  For a pair a, b it then takes the inverse of a/g
+modulo b/g once, and with it tests whether a and b partition d (the edge
+on which they are free lies in X unless they do; condition (3) of
+quasismoothness reads the same answer) and each d - w_j (condition (2),
+which asks for two indices j, so the count stops at the second hit).  The
+gcd m of the other weights is read from the pair gcds: in P4 it is
+gcd(g_kl, w_p) for the three free weights k, l, p of the two-face on
+which a and b vanish.  m > 1 makes that two-face cut a singular curve of
+order m, and m, a gcd of n - 2 weights, must divide d for wellformedness,
+while gcd(m, a) and gcd(m, b), gcds of n - 1 weights, must be 1.
+``is_quasismooth``, ``is_wellformed_hypersurface``,
 ``is_quasismooth_and_wellformed`` and ``singular_locus`` read that pass,
 so each criterion is written once."""
 
@@ -25,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from cytk.arith import is_partitionable
 from cytk.wps import CyclicQuotientType, WeightSystem
@@ -38,8 +41,7 @@ class NotCalabiYauError(ValueError):
     """The degree is not the sum of the weights."""
 
 
-@dataclass(frozen=True)
-class ContainedEdge:
+class ContainedEdge(NamedTuple):
     """An edge of P lying entirely inside X; it is a curve of X, singular
     when the two free weights share a factor."""
 
@@ -48,8 +50,7 @@ class ContainedEdge:
     singular: bool
 
 
-@dataclass(frozen=True)
-class EdgePointLocus:
+class EdgePointLocus(NamedTuple):
     """A singular edge of P not contained in X; it meets X in finitely many
     singular points of local order ``order``."""
 
@@ -57,8 +58,7 @@ class EdgePointLocus:
     order: int
 
 
-@dataclass(frozen=True)
-class SingularCurve:
+class SingularCurve(NamedTuple):
     """The curve cut on X by a singular two-face, with its transverse
     cyclic quotient type."""
 
@@ -66,8 +66,7 @@ class SingularCurve:
     quotient: CyclicQuotientType
 
 
-@dataclass(frozen=True)
-class SingularLocusReport:
+class SingularLocusReport(NamedTuple):
     """Stratified description of the singular locus of the general X."""
 
     singular_vertices: tuple[int, ...]
@@ -116,13 +115,23 @@ def is_calabi_yau_degree(ws: WeightSystem) -> bool:
 
 def _pair_table(n: int) -> tuple[tuple[int, int, tuple[int, ...], itemgetter], ...]:
     """For each pair of coordinates i < j of n, in lex order: i, j, the
-    other coordinates, and a getter of the other weights.  The getter
-    repeats its first index, so that it returns a tuple even when one
-    coordinate is left over (n = 3)."""
+    other coordinates, and a getter of the pieces whose gcd is the gcd m
+    of the other weights.  The getter reads the pair gcds followed by the
+    weights (``_pair_pass``): the pieces are the gcd of each two
+    consecutive other coordinates, and the weight of the last one when
+    their count is odd, so m is one weight for n = 3, one pair gcd for
+    n = 4, a pair gcd and a weight for n = 5 and two pair gcds for n = 6.
+    The getter repeats its first position, so that it returns a tuple even
+    for one piece."""
+    pairs = list(combinations(range(n), 2))
+    position = {pair: p for p, pair in enumerate(pairs)}
     table = []
-    for i, j in combinations(range(n), 2):
+    for i, j in pairs:
         rest = tuple(k for k in range(n) if k not in (i, j))
-        table.append((i, j, rest, itemgetter(*rest, rest[0])))
+        pieces = [position[rest[s : s + 2]] for s in range(0, len(rest) - 1, 2)]
+        if len(rest) % 2:
+            pieces.append(len(pairs) + rest[-1])
+        table.append((i, j, rest, itemgetter(*pieces, pieces[0])))
     return tuple(table)
 
 
@@ -147,7 +156,10 @@ def _condition_1(weights: tuple[int, ...], targets: list[int]) -> bool:
     """Condition (1) of the quasismoothness criterion: every weight divides
     some target d - w_j."""
     for x in weights:
-        if all(t % x for t in targets):
+        for t in targets:
+            if t % x == 0:
+                break
+        else:
             return False
     return True
 
@@ -161,10 +173,12 @@ def _pair_pass(
     partition d, how many of the d - w_j they partition (up to two; 0 once
     quasismoothness has failed), and the gcd m of the other weights.
 
-    The pair test is ``arith.is_pair_partitionable`` with g and the inverse
-    taken once: t = x*a + y*b with x, y >= 0 iff g divides t and the least
-    x >= 0 with x*a = t (mod b), (t/g) * (a/g)^-1 mod b/g, leaves
-    t - x*a >= 0.
+    Every g is taken before the visits, and m is the gcd of the pieces
+    that ``_pair_table`` names among the g and the weights, so no gcd of
+    more than two weights is taken.  The pair test is
+    ``arith.is_pair_partitionable`` with g and the inverse taken once:
+    t = x*a + y*b with x, y >= 0 iff g divides t and the least x >= 0 with
+    x*a = t (mod b), (t/g) * (a/g)^-1 mod b/g, leaves t - x*a >= 0.
     """
     d, w = ws.degree, ws.weights
     n = len(w)
@@ -172,10 +186,11 @@ def _pair_pass(
     targets = [d - x for x in w]
     quasismooth = _condition_1(w, targets)
     wellformed = True
+    gcds = [gcd(w[i], w[j]) for i, j, _, _ in pairs]
+    pieces = [*gcds, *w]
     found = []
-    for i, j, _, others in pairs:
+    for (i, j, _, others), g in zip(pairs, gcds):
         a, b = w[i], w[j]
-        g = gcd(a, b)
         step = b // g
         inverse = pow(a // g, -1, step)
         on_d = d % g == 0 and d // g * inverse % step * a <= d
@@ -188,7 +203,7 @@ def _pair_pass(
                         break
             else:
                 quasismooth = False
-        m = gcd(*others(w))
+        m = gcd(*others(pieces))
         if m > 1 and (d % m or gcd(m, a) > 1 or gcd(m, b) > 1):
             wellformed = False
         found.append((g, on_d, hits, m))
@@ -228,12 +243,8 @@ def examine(ws: WeightSystem) -> tuple[bool, bool, SingularLocusReport]:
             point_loci.append(EdgePointLocus(zeroed, g))
         if m > 1:
             curves.append(SingularCurve((i, j), CyclicQuotientType(m, (a % m, b % m))))
-    locus = SingularLocusReport(
-        singular_vertices=tuple(i for i in range(5) if w[i] > 1 and d % w[i] != 0),
-        contained_edges=tuple(in_x),
-        edge_point_loci=tuple(point_loci),
-        singular_curves=tuple(curves),
-    )
+    vertices = tuple([i for i, x in enumerate(w) if d % x])  # w_i > 1 not dividing d
+    locus = SingularLocusReport(vertices, tuple(in_x), tuple(point_loci), tuple(curves))
     return wellformed, quasismooth, locus
 
 

@@ -99,7 +99,8 @@ class DuValMultiset:
         for chunk in text.replace(" ", "").split("+"):
             match = _ENTRY_RE.match(chunk)
             if not match:
-                raise ValueError(f"cannot parse multiset entry {chunk!r}")
+                shown = repr(chunk) if len(chunk) <= 40 else f"{chunk[:40]!r}..."
+                raise ValueError(f"cannot parse multiset entry {shown}")
             count, family, index = match.groups()
             try:
                 index, count = int(index), int(count or "1")

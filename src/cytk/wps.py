@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -15,16 +16,17 @@ class WeightSystem:
     degree: int
     weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", int(self.degree))
-        if len(weights) < 3 or any(w <= 0 for w in weights):
+    def __init__(self, degree: int, weights: Iterable[int]) -> None:
+        weights = tuple(map(int, weights))
+        degree = int(degree)
+        if len(weights) < 3 or min(weights) <= 0:
             raise ValueError("a weight system needs at least three positive weights")
-        if self.degree < max(weights):
+        if degree < max(weights):
             raise ValueError("degree must be at least the largest weight")
         if gcd(*weights) != 1:
             raise ValueError("weights must be globally coprime")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weights", weights)
 
     def __str__(self) -> str:
         return f"X_{self.degree} in P{self.weights}"
@@ -84,8 +86,8 @@ class CyclicQuotientType:
     order: int
     local_weights: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        m, pair = _canonical_quotient(int(self.order), *map(int, self.local_weights))
+    def __init__(self, order: int, local_weights: tuple[int, int]) -> None:
+        m, pair = _canonical_quotient(order, *local_weights)
         object.__setattr__(self, "order", m)
         object.__setattr__(self, "local_weights", pair)
 

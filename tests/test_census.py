@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -86,6 +87,29 @@ class TestParseDatabase:
         records, failures = parse_database([f"20 1 2 3 4 {token}", "5 1 1 1 1 1"])
         assert failures == [(1, "integer over the 4300-digit limit")]
         assert [r.source_line for r in records] == [2]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (
+                "20 1 2 3 4 " + "9" * 4300,
+                "degree 20 is not the weight sum 1" + "0" * 39 + "... (4301 digits)",
+            ),
+            (
+                "20 1 2 3 4 " + "9" * 4299,
+                "degree 20 is not the weight sum 1" + "0" * 39 + "... (4300 digits)",
+            ),
+            (
+                "1" + "0" * 40 + " 1 1 1 1 1",
+                "degree 1" + "0" * 39 + "... (41 digits) is not the weight sum 5",
+            ),
+            ("9" * 40 + " 1 1 1 1 1", f"degree {'9' * 40} is not the weight sum 5"),
+        ],
+        ids=["sum-4301-digits", "sum-4300-digits", "degree-41-digits", "degree-40-digits"],
+    )
+    def test_wide_integer_in_a_failure_is_cut_to_40_digits(self, line, reason):
+        records, failures = parse_database([line])
+        assert (records, failures) == ([], [(1, reason)])
 
     def test_odd_degree_four_weights_rejected(self):
         _, failures = parse_database(["9 1 1 3 4"])
@@ -235,7 +259,7 @@ def written_json(summary, verdicts):
 def reference_json(summary, verdicts):
     """The census document as the standard library's encoder writes it."""
     document = {
-        "records": [vars(v) for v in verdicts],
+        "records": [v._asdict() for v in verdicts],
         "summary": {
             "failures": [
                 {"line": line, "reason": reason} for line, reason in summary.failures
@@ -258,6 +282,14 @@ class TestWriteJson:
         for _ in range(passes):
             summary, verdicts = census_lines(lines)
             assert written_json(summary, verdicts) == reference_json(summary, verdicts)
+
+    def test_ks_list_digest(self):
+        # the --json document of the KS list, pinned byte for byte
+        summary, verdicts = census_lines(KS_LIST.read_text(encoding="utf-8").splitlines())
+        digest = hashlib.sha256(written_json(summary, verdicts).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "1994b9382b1a9ca4dc9f55514da1859d87b29fc5c5966f151adf048e894fbe0d"
+        )
 
     def test_every_failure_reason(self):
         summary, verdicts = census_lines([line for line, _ in FAILURE_CASES])

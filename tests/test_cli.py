@@ -458,6 +458,22 @@ class TestSurface:
             "over 4300 digits\n",
         )
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("A1+Q", "'Q'"),
+            ("A1+" + "X" * 40, "'" + "X" * 40 + "'"),
+            ("9" * 100000 + "Q", "'" + "9" * 40 + "'..."),
+            ("A1+" + "X" * 41, "'" + "X" * 40 + "'..."),
+        ],
+        ids=["short", "40-characters", "100000-characters", "41-characters"],
+    )
+    def test_malformed_entry_shown_by_its_first_40_characters(self, capsys, text, shown):
+        code, out, err = run_cli(capsys, "surface", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse multiset entry {shown}\n"
+        assert len(err.encode("utf-8")) < 200
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "surface", "2A3+11A1", "--json")
         document = json.loads(out)

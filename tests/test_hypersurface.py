@@ -3,12 +3,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cytk.arith import is_pair_partitionable
+from cytk.census import parse_database
 from cytk.hypersurface import (
     ContainedEdge,
     EdgePointLocus,
@@ -32,6 +34,7 @@ X120 = WeightSystem(120, (3, 7, 20, 40, 50))
 X56 = WeightSystem(56, (2, 4, 9, 13, 28))
 X7 = WeightSystem(7, (1, 1, 1, 2, 2))
 QUINTIC = WeightSystem(5, (1, 1, 1, 1, 1))
+KS_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "kreuzer_skarke_wp4.txt"
 
 
 class TestQuasismooth:
@@ -263,6 +266,14 @@ class TestAgainstAllSubsetsReference:
         for ws in (X1734, X120, X56, X7, QUINTIC, WeightSystem(9, (1, 1, 3, 3, 7))):
             assert examine(ws) == reference_examine(ws)
             assert is_quasismooth(ws) == reference_is_quasismooth(ws)
+
+    def test_ks_list(self):
+        # every record of the KS list, contained edges and point loci included
+        lines = KS_LIST.read_text(encoding="utf-8").splitlines()
+        records, failures = parse_database(lines)
+        assert len(records) == 7355 and not failures
+        for record in records:
+            assert examine(record.ws) == reference_examine(record.ws)
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))
