@@ -165,10 +165,13 @@ def _condition_1(weights: tuple[int, ...], targets: list[int]) -> bool:
 
 
 def _pair_pass(
-    ws: WeightSystem,
+    ws: WeightSystem, quasismooth: bool
 ) -> tuple[bool, bool, list[tuple[int, bool, int, int]]]:
     """(wellformed, quasismooth, pairs) of n >= 3 weights, from one visit of
-    each pair a, b of weights (see the module docstring).  ``pairs`` holds,
+    each pair a, b of weights (see the module docstring), given the verdict
+    of condition (1) of quasismoothness as ``quasismooth``: the caller
+    tests it, and the pass goes on to (2) and (3) only if it holds.
+    ``pairs`` holds,
     in the order of ``_pair_table``: g = gcd(a, b), whether a and b
     partition d, how many of the d - w_j they partition (up to two; 0 once
     quasismoothness has failed), and the gcd m of the other weights.
@@ -184,7 +187,6 @@ def _pair_pass(
     n = len(w)
     pairs, triples = (_PAIRS, _TRIPLES) if n == 5 else (_pair_table(n), _triple_table(n))
     targets = [d - x for x in w]
-    quasismooth = _condition_1(w, targets)
     wellformed = True
     gcds = [gcd(w[i], w[j]) for i, j, _, _ in pairs]
     pieces = [*gcds, *w]
@@ -230,8 +232,8 @@ def examine(ws: WeightSystem) -> tuple[bool, bool, SingularLocusReport]:
     weight system has five weights.
     """
     ws.require_p4()
-    wellformed, quasismooth, pairs = _pair_pass(ws)
     d, w = ws.degree, ws.weights
+    wellformed, quasismooth, pairs = _pair_pass(ws, _condition_1(w, [d - x for x in w]))
     in_x = []
     point_loci = []
     curves = []
@@ -252,7 +254,9 @@ def is_wellformed_hypersurface(ws: WeightSystem) -> bool:
     """Degree/weight conditions under which adjunction computes the canonical
     class of the general hypersurface: any n - 1 of the n weights are
     coprime, and the gcd of any n - 2 weights divides the degree."""
-    return _pair_pass(ws)[0]
+    # Wellformedness does not depend on quasismoothness, so the pass skips
+    # conditions (2) and (3).
+    return _pair_pass(ws, False)[0]
 
 
 def is_quasismooth(ws: WeightSystem) -> bool:
@@ -277,7 +281,7 @@ def is_quasismooth(ws: WeightSystem) -> bool:
     three weights, runs only when no pair does.
     """
     w = ws.weights
-    return _condition_1(w, [ws.degree - x for x in w]) and _pair_pass(ws)[1]
+    return _condition_1(w, [ws.degree - x for x in w]) and _pair_pass(ws, True)[1]
 
 
 def is_quasismooth_and_wellformed(ws: WeightSystem) -> bool:
@@ -285,7 +289,7 @@ def is_quasismooth_and_wellformed(ws: WeightSystem) -> bool:
     number of weights, with condition (1) tested first and alone and both
     verdicts then read from one pair pass."""
     w = ws.weights
-    return _condition_1(w, [ws.degree - x for x in w]) and all(_pair_pass(ws)[:2])
+    return _condition_1(w, [ws.degree - x for x in w]) and all(_pair_pass(ws, True)[:2])
 
 
 def singular_locus(ws: WeightSystem) -> SingularLocusReport:

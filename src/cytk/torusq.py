@@ -12,11 +12,13 @@ Generators are read as pairs of an integer matrix and a tuple of Fraction.
 An action works over one denominator D, the lcm of its generators'
 translation denominators: an integral M maps (1/D) Z^4 into itself, so every
 element is a pair (M, numerators of t over D) of integer tuples.  The
-closure, the order walk, the fixed points and the orbits run on those
-tuples only.  Fixed points come from ``arith.solve_congruence_numerators``
-as integer numerators, which are lifted to one common denominator with the
-translations by integer multiplies; a Fraction is built only for each
-orbit's representative, and for each element's translation when
+closure, the element orders, the fixed points and the orbits run on those
+tuples only, and each uses what validation fixes: an element's order is
+read off the power sums of its linear part, and an element of prime order
+p = 2 or 3 has its fixed points in closed form, as numerators over p * D.
+Those are lifted to one common denominator with the translations by
+integer multiplies; a Fraction is built only for each orbit's
+representative, and for each element's translation when
 ``TorusAction.elements`` is read.
 """
 
@@ -26,11 +28,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from cytk.arith import NoSolutionError, determinant, solve_congruence_numerators
 from cytk.surface import REALIZED, DuValMultiset, DuValType
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -44,9 +45,10 @@ Numerators = tuple[int, ...]
 # and the bound only stops the closure of an infinite group.
 CAP = 48
 # The largest common translation denominator D accepted.  The orbit
-# representatives are printed as numerators over a divisor of 144 * D
-# (|det(M - I)| is 16 or 9 for the elements solved), and Python prints an
-# int of at most 4300 digits; 144 * 2**14000 has 4217.
+# representatives are printed as numerators over a divisor of 6 * D (the
+# fixed points of an element of order p are numerators over p * D, for p
+# = 2 or 3), and Python prints an int of at most 4300 digits; 6 * 2**14000
+# has 4216.
 DENOMINATOR_BITS = 14000
 
 # The realifications of SL(2,C) elements of each finite order, (x-1)^4,
@@ -62,6 +64,7 @@ _CANONICAL_POWER_SUMS = {
     4: (0, -4, 0, 4),
     6: (2, -2, -4, -2),
 }
+_CANONICAL_ORDERS = {sums: n for n, sums in _CANONICAL_POWER_SUMS.items()}
 
 
 class ActionValidationError(ValueError):
@@ -70,6 +73,8 @@ class ActionValidationError(ValueError):
 
 _IDENTITY: IntMatrix = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 _ZERO: Point = (Fraction(0),) * 4
+# The column span of I mod 2: every vector of 0s and 1s.
+_BINARY = tuple(product((0, 1), repeat=4))
 
 
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -79,7 +84,7 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         (b20, b21, b22, b23),
         (b30, b31, b32, b33),
     ) = b
-    return tuple(
+    return tuple([
         (
             r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30,
             r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
@@ -87,7 +92,7 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33,
         )
         for r0, r1, r2, r3 in a
-    )
+    ])
 
 
 def _image(
@@ -110,6 +115,24 @@ def _image(
     )
 
 
+def _power_sums(linear: IntMatrix) -> tuple[int, int, int, int]:
+    """(tr M, tr M^2, tr M^3, tr M^4) from the one product M^2: tr M^3 is
+    the sum of (M^2)_ij M_ji and tr M^4 that of (M^2)_ij (M^2)_ji."""
+    square = _mat_mul(linear, linear)
+    cube = fourth = 0
+    for (r0, r1, r2, r3), (c0, c1, c2, c3), (s0, s1, s2, s3) in zip(
+        square, zip(*linear), zip(*square)
+    ):
+        cube += r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3
+        fourth += r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3
+    return (
+        linear[0][0] + linear[1][1] + linear[2][2] + linear[3][3],
+        square[0][0] + square[1][1] + square[2][2] + square[3][3],
+        cube,
+        fourth,
+    )
+
+
 def _power_traces(linear: IntMatrix, shift: Numerators, den: int) -> list[int]:
     """The traces of M, M^2, ..., M^n for g = (M, t) of finite order n, t
     given by its numerators over den."""
@@ -121,6 +144,20 @@ def _power_traces(linear: IntMatrix, shift: Numerators, den: int) -> list[int]:
             return traces
         power_shift = _image(power, power_shift, shift, den)
         power = _mat_mul(power, linear)
+
+
+def _determinant(linear: IntMatrix) -> int:
+    """det M of a 4x4 matrix, by Laplace expansion along its first two rows:
+    the sum of each 2x2 minor there times its signed complementary minor."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = linear
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
 
 
 @dataclass(frozen=True)
@@ -136,9 +173,12 @@ class AffineTorusMap:
         linear = tuple(tuple(int(x) for x in row) for row in self.linear)
         if len(linear) != 4 or any(len(r) != 4 for r in linear):
             raise ValueError("linear part must be a 4x4 integer matrix")
-        if abs(determinant(linear)) != 1:
+        if abs(_determinant(linear)) != 1:
             raise ValueError("linear part must be unimodular")
-        translation = tuple(Fraction(t) % 1 for t in self.translation)
+        translation = tuple(
+            Fraction(t.numerator % t.denominator, t.denominator)
+            for t in map(Fraction, self.translation)
+        )
         if len(translation) != 4:
             raise ValueError("translation must have 4 coordinates")
         object.__setattr__(self, "linear", linear)
@@ -155,21 +195,44 @@ class AffineTorusMap:
 
 
 def _fixed_numerators(
-    linear: IntMatrix, shift: Numerators, den: int
+    linear: IntMatrix, shift: Numerators, den: int, p: int
 ) -> tuple[int, list[Numerators]]:
-    """The fixed points of (M, t), t given by its numerators over den, as
-    ``(s, numerators over s)``: the solutions of (M - I) x = -t mod Z^4."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = linear
-    a = (
-        (a0 - 1, a1, a2, a3),
-        (b0, b1 - 1, b2, b3),
-        (c0, c1, c2 - 1, c3),
-        (d0, d1, d2, d3 - 1),
-    )
-    try:
-        return solve_congruence_numerators(a, [-t for t in shift], den)
-    except NoSolutionError:
-        return den, []
+    """The fixed points of a validated element (M, t) of prime order p = 2
+    or 3, t given by its numerators T over den, as ``(s, numerators over
+    s)`` with s = p * den: the solutions of (M - I) x = -t mod Z^4.
+
+    B = I for p = 2, where M = -I, and B = M + 2I for p = 3, where
+    M^2 + M + I = 0; in both cases (M - I) B = -p I.  So x is fixed iff
+    x = B (t + w) / p for some w in Z^4, and its numerators over s are
+    B T + den * v mod s for v in the column span of B mod p: 16 points for
+    p = 2 and 9 for p = 3."""
+    s = p * den
+    if p == 2:
+        image, span = shift, _BINARY
+    else:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = linear
+        b = (
+            (a0 + 2, a1, a2, a3),
+            (b0, b1 + 2, b2, b3),
+            (c0, c1, c2 + 2, c3),
+            (d0, d1, d2, d3 + 2),
+        )
+        image = _image(b, (0, 0, 0, 0), shift, s)
+        # A column outside the span so far triples it: the span plus 0, 1 or
+        # 2 times the column are disjoint cosets.
+        span = [(0, 0, 0, 0)]
+        for y0, y1, y2, y3 in zip(*b):
+            if (y0 % 3, y1 % 3, y2 % 3, y3 % 3) not in span:
+                span = [
+                    ((x0 + k * y0) % 3, (x1 + k * y1) % 3, (x2 + k * y2) % 3, (x3 + k * y3) % 3)
+                    for x0, x1, x2, x3 in span
+                    for k in range(3)
+                ]
+    t0, t1, t2, t3 = image
+    return s, [
+        ((t0 + den * v0) % s, (t1 + den * v1) % s, (t2 + den * v2) % s, (t3 + den * v3) % s)
+        for v0, v1, v2, v3 in span
+    ]
 
 
 @dataclass(frozen=True)
@@ -206,10 +269,18 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     is multiplied on the right by each generator once.  A group G thus
     costs |G|*|gens| products, an element reached by a word of length k has
     entries of bit size O(k), and an infinite group is rejected after at
-    most (CAP + 1)*|gens| products.  Each element's order is then found by
-    walking its powers, once, and kept on the action; the walk's traces
-    give the power sums that identify the characteristic polynomial.  All
-    of it runs on integer tuples over the generators' common denominator.
+    most (CAP + 1)*|gens| products.  All of it runs on integer tuples over
+    the generators' common denominator.
+
+    Each element's order is then read off the power sums (tr M, ..., tr M^4)
+    of its linear part M, taken from the one product M^2, and kept on the
+    action.  An element of the finite group has finite order, so M is
+    diagonalizable, and power sums equal to ``_CANONICAL_POWER_SUMS[n]``
+    fix its eigenvalues and so make n the order of M.  When G holds no
+    non-trivial translation, g^n = (I, t) lies in G and so is the identity,
+    and n is the order of g.  Otherwise, and for an element whose power
+    sums are not canonical, the order is found by walking its powers, and
+    the walk's traces give the power sums that the rejection reports on.
 
     Raises ActionValidationError when the translations' common denominator
     exceeds ``DENOMINATOR_BITS`` bits, the closure exceeds ``CAP`` elements,
@@ -242,17 +313,25 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
 
     # Numerators over one denominator sort as the fractions they stand for.
     ordered = sorted(elements)
+    translated = any(linear == _IDENTITY and any(shift) for linear, shift in ordered)
     # Every element of the finite group has finite order, and the
     # involutions are exactly the elements of order 2.
-    walks = [_power_traces(linear, shift, den) for linear, shift in ordered]
-    orders = tuple(map(len, walks))
+    orders = []
+    walks = []
+    for linear, shift in ordered:
+        n = None if translated else _CANONICAL_ORDERS.get(_power_sums(linear))
+        if n is None:
+            traces = _power_traces(linear, shift, den)
+            n = len(traces)
+            walks.append((traces, n))
+        orders.append(n)
     involutions = orders.count(2)
     if involutions > 1:
         raise ActionValidationError(f"multiple involutions ({involutions})")
-    for linear, shift in ordered:
-        if linear == _IDENTITY and any(shift):
-            raise ActionValidationError("contains nontrivial translation")
-    for traces, n in zip(walks, orders):
+    if translated:
+        raise ActionValidationError("contains nontrivial translation")
+    # The elements not walked have canonical power sums and pass both tests.
+    for traces, n in walks:
         if n not in _CANONICAL_POWER_SUMS:
             raise ActionValidationError(f"element of forbidden order {n}")
         # M^n = I, so tr M^k = tr M^((k-1) mod n + 1).
@@ -266,7 +345,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
         generators=generators,
         table=tuple(ordered),
         denominator=den,
-        orders=orders,
+        orders=tuple(orders),
     )
 
 
@@ -322,18 +401,19 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
     of order 2 or 3.  Of an element g of order 3 and its inverse g^2, which
     fix the same points, only the first is solved for.
 
-    Each element is solved as (M - I) x = -t over the action's denominator
-    D, which gives numerators over s = D * |det(M - I)|.  Points and
-    translations are then lifted to one common denominator by integer
-    multiplies, so orbits, stabilizers and representatives are found on
-    integer tuples, and a Fraction is built only for each representative."""
+    An element of order p has its fixed points in closed form, as
+    numerators over s = p * D for the action's denominator D (see
+    ``_fixed_numerators``).  Points and translations are then lifted to one
+    common denominator by integer multiplies, so orbits, stabilizers and
+    representatives are found on integer tuples, and a Fraction is built
+    only for each representative."""
     den = action.denominator
     elements = action.table
     solved = []
     inverses = set()
     for (linear, shift), n in zip(elements, action.orders):
         if n in (2, 3) and (linear, shift) not in inverses:
-            solved.append(_fixed_numerators(linear, shift, den))
+            solved.append(_fixed_numerators(linear, shift, den, n))
             inverses.add((_mat_mul(linear, linear), _image(linear, shift, shift, den)))
     # Every s is a multiple of den.
     common = lcm(den, *(s for s, _ in solved))
@@ -516,16 +596,18 @@ def _linear_entry(value: object) -> int:
     return value
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _translation_entry(value: object) -> Fraction:
     """A translation coordinate, which JSON must give as an integer or "p/q"
     string: a float is not read as the binary fraction it rounds to, and an
     exponent such as "1e-5000" is not expanded to its digits."""
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+    match = isinstance(value, str) and _RATIONAL.fullmatch(value)
+    if not match:
         raise TypeError(f'translation entry {_shown(value)} is not a "p/q" string')
-    return Fraction(value)
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def action_from_json(data: dict) -> TorusAction:

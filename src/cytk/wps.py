@@ -5,20 +5,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable
 
 
 @dataclass(frozen=True)
 class WeightSystem:
     """A degree d together with the positive weights of the ambient
-    weighted projective space: five for P4, at least three in general."""
+    weighted projective space: five for P4, at least three in general.
+    A degree or weight that is not an integer raises TypeError: 5.9 is not
+    read as 5."""
 
     degree: int
     weights: tuple[int, ...]
 
     def __init__(self, degree: int, weights: Iterable[int]) -> None:
-        weights = tuple(map(int, weights))
-        degree = int(degree)
+        weights = tuple(map(index, weights))
+        degree = index(degree)
         if len(weights) < 3 or min(weights) <= 0:
             raise ValueError("a weight system needs at least three positive weights")
         if degree < max(weights):

@@ -12,12 +12,7 @@ from math import lcm
 
 import pytest
 
-from cytk.arith import (
-    determinant,
-    is_pair_partitionable,
-    is_partitionable,
-    solve_congruence_numerators,
-)
+from cytk.arith import is_pair_partitionable, is_partitionable
 from cytk.census import census_lines
 from cytk.cli import main
 from cytk.hypersurface import (
@@ -45,6 +40,7 @@ from cytk.torusq import (
 from cytk.wps import CyclicQuotientType, WeightSystem
 
 from conftest import SAMPLE_LINES
+from congruence_reference import determinant, solve_congruence_numerators
 
 
 def report(criterion: str, detail: str) -> None:

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk.arith import (
+from cytk.arith import is_pair_partitionable, is_partitionable
+
+from congruence_reference import (
     InfiniteSolutionsError,
     NoSolutionError,
     determinant,
-    is_pair_partitionable,
-    is_partitionable,
     solve_congruence_numerators,
 )
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cytk import hypersurface
 from cytk.arith import is_pair_partitionable
 from cytk.census import parse_database
 from cytk.hypersurface import (
@@ -44,6 +45,22 @@ class TestQuasismooth:
         assert is_quasismooth(X1734)
         assert is_quasismooth(QUINTIC)
         assert is_quasismooth(X7)
+
+    @pytest.mark.parametrize(
+        "predicate", [is_quasismooth, is_quasismooth_and_wellformed, examine]
+    )
+    def test_condition_1_tested_once(self, monkeypatch, predicate):
+        condition_1 = hypersurface._condition_1
+        calls = []
+
+        def counted(weights, targets):
+            calls.append(weights)
+            return condition_1(weights, targets)
+
+        monkeypatch.setattr(hypersurface, "_condition_1", counted)
+        for _ in range(3):
+            predicate(X120)
+        assert calls == [X120.weights] * 3
 
     def test_failing_first_condition(self):
         # no weight w_j with 7 | 9 - w_j
@@ -290,10 +307,10 @@ class TestAgainstAllSubsetsReference:
         # each pair's in-loop tests on d and on the d - w_j, and its gcds;
         # the d - w_j are tested until condition (1) or (2) has failed
         d, w = ws.degree, ws.weights
-        _, _, pairs = _pair_pass(ws)
+        counting = all(any((d - x) % y == 0 for x in w) for y in w)
+        _, _, pairs = _pair_pass(ws, counting)
         indices = list(combinations(range(len(w)), 2))
         assert len(pairs) == len(indices)
-        counting = all(any((d - x) % y == 0 for x in w) for y in w)
         for (i, j), (g, on_d, hits, m) in zip(indices, pairs):
             a, b = w[i], w[j]
             assert g == gcd(a, b)

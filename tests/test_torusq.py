@@ -8,12 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk.arith import (
-    InfiniteSolutionsError,
-    NoSolutionError,
-    determinant,
-    solve_congruence_numerators,
-)
 from cytk.surface import DuValMultiset, orbifold_c2
 from cytk.torusq import (
     _L8_A,
@@ -23,11 +17,17 @@ from cytk.torusq import (
     _L8_SHIFT_C,
     _CANONICAL_POWER_SUMS,
     _MUL_I,
+    _MUL_J,
+    _MUL_J2,
     _MUL_W,
     _SWAP,
     _block_diag,
+    _determinant,
+    _fixed_numerators,
     _linear,
+    _power_sums,
     _power_traces,
+    _translation_entry,
     BUILTIN_EXPECTED,
     CAP,
     ActionValidationError,
@@ -38,6 +38,13 @@ from cytk.torusq import (
     close_group,
     load_action,
     quotient_singularities,
+)
+
+from congruence_reference import (
+    InfiniteSolutionsError,
+    NoSolutionError,
+    determinant,
+    solve_congruence_numerators,
 )
 
 HALF = Fraction(1, 2)
@@ -148,8 +155,6 @@ class TestFixedPoints:
         assert all(set(p) <= {0, HALF} for p in points)
 
     def test_order_three_diagonal_has_9(self):
-        from cytk.torusq import _MUL_J, _MUL_J2
-
         g = pair(_linear(_block_diag(_MUL_J, _MUL_J2)))
         assert order(g) == 3
         assert len(fixed_points(g)) == 9
@@ -651,3 +656,146 @@ def test_orbits_match_fraction_apply(name, steps, shift):
         assert len(set(images)) == orbit.size
         assert images.count(orbit.representative) == orbit.stabilizer_order
         assert min(images) == orbit.representative
+
+
+# ----------------------------------------------------------------------
+# The closed forms that validation makes possible, against the general
+# algorithms they replace.
+
+
+def actions_and_conjugates(count=5):
+    """The ten builtins, then ``count`` seeded conjugates of each."""
+    for name in BUILTIN_NAMES:
+        for generators in builtin_and_conjugates(name, count):
+            yield close_group(generators, label=name)
+
+
+class TestClosedForms:
+    def test_fixed_points_match_the_reference_solver(self):
+        actions = list(actions_and_conjugates())
+        assert len(actions) == 60
+        for action in actions:
+            den = action.denominator
+            for (linear, shift), g, n in zip(action.table, action.elements, action.orders):
+                if n not in (2, 3):
+                    continue
+                s, numerators = _fixed_numerators(linear, shift, den, n)
+                assert s == n * den
+                closed = {tuple(Fraction(x, s) for x in point) for point in numerators}
+                assert len(closed) == len(numerators) == EXPECTED_FIXED_POINTS[n]
+                assert closed == fixed_points(pair(g))
+
+    def test_orders_from_power_sums_match_the_walk(self):
+        for action in actions_and_conjugates():
+            den = action.denominator
+            for (linear, shift), n in zip(action.table, action.orders):
+                walk = _power_traces(linear, shift, den)
+                assert n == len(walk)
+                square = _mul4(linear, linear)
+                traces = [sum(m[i][i] for i in range(4)) for m in (
+                    linear, square, _mul4(square, linear), _mul4(square, square)
+                )]
+                assert _power_sums(linear) == tuple(traces) == _CANONICAL_POWER_SUMS[n]
+
+    def test_determinant_matches_bareiss(self):
+        rng = random.Random(44)
+        for bits in (2, 3, 200):
+            for _ in range(300):
+                m = tuple(
+                    tuple(rng.randrange(-(1 << bits), 1 << bits) for _ in range(4))
+                    for _ in range(4)
+                )
+                assert _determinant(m) == determinant(m)
+        for change in (random_change(rng) for _ in range(50)):
+            assert _determinant(change[0]) == 1 == determinant(change[0])
+
+    @given(
+        st.tuples(
+            st.sampled_from(["", "+", "-"]),
+            st.integers(0, 10**30),
+            st.one_of(st.none(), st.integers(1, 10**30)),
+        )
+    )
+    def test_translation_entry_reads_as_fraction_would(self, parts):
+        sign, numerator, denominator = parts
+        text = f"{sign}{numerator}" + ("" if denominator is None else f"/{denominator}")
+        assert _translation_entry(text) == Fraction(text)
+
+
+I4_JSON = [list(row) for row in ID4]
+NO_SHIFT = ["0", "0", "0", "0"]
+
+
+def companion(c0, c1, c2, c3):
+    """The companion matrix of x^4 + c3 x^3 + c2 x^2 + c1 x + c0."""
+    return [[0, 0, 0, -c0], [1, 0, 0, -c1], [0, 1, 0, -c2], [0, 0, 1, -c3]]
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (
+            [{"linear": [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+              "translation": NO_SHIFT}],
+            "not finite within cap 48",
+        ),
+        (
+            [{"linear": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+              "translation": NO_SHIFT}],
+            "linear part of an order-2 element is not an SL(2,C) realification",
+        ),
+        (
+            [{"linear": NEG_ID_JSON, "translation": NO_SHIFT},
+             {"linear": NEG_ID_JSON, "translation": ["1/2", "0", "0", "0"]}],
+            "multiple involutions (3)",
+        ),
+        (
+            [{"linear": _block_diag(_MUL_J, _MUL_J2), "translation": NO_SHIFT},
+             {"linear": I4_JSON, "translation": ["1/3", "0", "2/3", "0"]}],
+            "contains nontrivial translation",
+        ),
+        (
+            [{"linear": I4_JSON, "translation": ["0", "1/5", "0", "0"]}],
+            "contains nontrivial translation",
+        ),
+        ([{"linear": companion(1, 1, 1, 1), "translation": NO_SHIFT}],
+         "element of forbidden order 5"),
+        ([{"linear": companion(1, 0, 0, 0), "translation": NO_SHIFT}],
+         "element of forbidden order 8"),
+        ([{"linear": companion(1, 0, -1, 0), "translation": NO_SHIFT}],
+         "element of forbidden order 12"),
+    ],
+    ids=[
+        "infinite-order", "not-sl2c", "two-involutions", "translation-with-rotation",
+        "translation", "order-5", "order-8", "order-12",
+    ],
+)
+def test_rejection_text_by_kind(generators, message):
+    """Each kind of invalid group is rejected with its own text, also after
+    a change of lattice coordinates (the infinite-order generator is sent
+    as it is, which keeps its closure quick)."""
+    rng = random.Random(f"reject:{message}")
+    changes = [None] if message.startswith("not finite") else [None, *(
+        random_change(rng) for _ in range(3)
+    )]
+    for change in changes:
+        maps = [
+            AffineTorusMap(
+                tuple(map(tuple, g["linear"])), tuple(map(Fraction, g["translation"]))
+            )
+            for g in generators
+        ]
+        if change is not None:
+            maps = [conjugate(g, change) for g in maps]
+        document = {
+            "generators": [
+                {
+                    "linear": [list(row) for row in g.linear],
+                    "translation": [str(t) for t in g.translation],
+                }
+                for g in maps
+            ]
+        }
+        with pytest.raises(ActionValidationError) as info:
+            action_from_json(document)
+        assert str(info.value) == message

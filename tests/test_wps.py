@@ -27,6 +27,16 @@ class TestWeightSystem:
         with pytest.raises(ValueError):
             WeightSystem(5, (1, 1, 1, 1, 0))
 
+    @pytest.mark.parametrize(
+        "degree, weights",
+        [(5.9, (1, 1, 1, 1, 1)), (5, (1, 1, 1, 1.7, 1)), (5.0, (1, 1, 1, 1, 1))],
+        ids=["degree", "weight", "integral-float"],
+    )
+    def test_rejects_non_integers(self, degree, weights):
+        # as CyclicQuotientType does: 5.9 is not truncated to the quintic
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            WeightSystem(degree, weights)
+
 
 class TestCyclicQuotientType:
     def test_swap_equivalence(self):
