@@ -25,7 +25,7 @@ from cytk.wps import WeightSystem
 N3 = "N3"  # record arrived with 4 weights, the d/2 weight was appended
 N4 = "N4"  # record arrived with all 5 weights
 
-_DIGITS = re.compile(r"[+-]?\d+(?:_\d+)*")  # the base-10 syntax of int()
+DIGITS = re.compile(r"[+-]?\d+(?:_\d+)*")  # the base-10 syntax of int()
 
 
 class NormalizedRecord(NamedTuple):
@@ -129,7 +129,7 @@ def parse_database(
                 try:
                     values.append(int(token))
                 except ValueError:
-                    if _DIGITS.fullmatch(token):  # so over int's digit limit
+                    if DIGITS.fullmatch(token):  # so over int's digit limit
                         limit = sys.get_int_max_str_digits()
                         raise ValueError(f"integer over the {limit}-digit limit")
                     break

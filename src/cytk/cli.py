@@ -29,6 +29,9 @@ degree over ``DEGREE_BITS`` bits and ``surface`` a multiset whose sum of
 k, lcm of local group orders or orbifold c2 numerator is wider, with exit
 2 and before any output.  The lcm is a multiple of c2's denominator, so a
 multiset may be rejected for it while that denominator is narrower.
+An operand that ``int`` refuses is shown by its first 40 characters, and
+one with ``int``'s syntax is named as over its digit limit, so that no
+usage error echoes a long token whole.
 
 ``census -`` reads stdin as bytes and decodes them as strictly as a file,
 so a byte that is not UTF-8 is an I/O error whatever the locale.
@@ -49,7 +52,7 @@ from typing import Optional, Sequence
 
 from cytk import census as census_mod
 from cytk import hypersurface
-from cytk.census import BOOL_TEXT, json_array
+from cytk.census import BOOL_TEXT, DIGITS, json_array
 from cytk.wps import WeightSystem
 
 DATABASE_ENV = "CYTK_DATABASE"
@@ -417,13 +420,39 @@ def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> str:
     )
 
 
+def _token(text: str) -> str:
+    """A refused token as its repr, cut after 40 characters as ``surface``
+    shows a malformed entry."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
+def _refuse_wide(text: str) -> None:
+    """Reject a token that int refused although it has int's syntax, around
+    which int allows whitespace, so for digits over its limit."""
+    if DIGITS.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(
+            f"integer {_token(text)} over {sys.get_int_max_str_digits()} digits"
+        )
+
+
+def _int(text: str) -> int:
+    """An int operand, refused in argparse's words for ``type=int`` but with
+    the token cut by ``_token``."""
+    try:
+        return int(text)
+    except ValueError:
+        _refuse_wide(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {_token(text)}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        _refuse_wide(text)
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {_token(text)}")
     return value
 
 
@@ -478,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="analyze one weight system (degree plus five weights)"
     )
-    analyze.add_argument("degree", type=int)
-    analyze.add_argument("weights", type=int, nargs=5, metavar="W")
+    analyze.add_argument("degree", type=_int)
+    analyze.add_argument("weights", type=_int, nargs=5, metavar="W")
     analyze.add_argument("--json", action="store_true", help="emit a JSON report")
     analyze.set_defaults(handler=_cmd_analyze)
 

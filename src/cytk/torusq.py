@@ -9,16 +9,15 @@ characteristic polynomial is the realification of an SL(2,C) element of the
 right order.  The complex structure itself is never represented.
 
 Generators are read as pairs of an integer matrix and a tuple of Fraction.
-An action works over one denominator D, the lcm of its generators'
-translation denominators: an integral M maps (1/D) Z^4 into itself, so every
-element is a pair (M, numerators of t over D) of integer tuples.  The
-closure, the element orders, the fixed points and the orbits run on those
-tuples only, and each uses what validation fixes: an element's order is
-read off the power sums of its linear part, and an element of prime order
-p = 2 or 3 has its fixed points in closed form, as numerators over p * D.
-Those are lifted to one common denominator with the translations by
-integer multiplies; a Fraction is built only for each orbit's
-representative, and for each element's translation when
+An action works over one denominator, 6 * D for D the lcm of its
+generators' translation denominators: an integral M maps (1/(6 D)) Z^4 into
+itself, so every element is a pair (M, numerators of t over 6 * D) of
+integer tuples.  The closure, the element orders, the fixed points and the
+orbits run on those tuples only, and each uses what validation fixes: an
+element's order is read off the power sums of its linear part, and an
+element of prime order p = 2 or 3 has its fixed points in closed form, with
+denominators dividing p * D and so 6 * D.  A Fraction is built only for
+each orbit's representative, and for each element's translation when
 ``TorusAction.elements`` is read.
 """
 
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -44,11 +44,9 @@ Numerators = tuple[int, ...]
 # of order 8 or 12, or binary tetrahedral, so it has at most 24 elements,
 # and the bound only stops the closure of an infinite group.
 CAP = 48
-# The largest common translation denominator D accepted.  The orbit
-# representatives are printed as numerators over a divisor of 6 * D (the
-# fixed points of an element of order p are numerators over p * D, for p
-# = 2 or 3), and Python prints an int of at most 4300 digits; 6 * 2**14000
-# has 4216.
+# The largest common translation denominator D accepted.  An action works
+# over 6 * D, its orbit representatives are printed over divisors of it,
+# and Python prints an int of at most 4300 digits; 6 * 2**14000 has 4216.
 DENOMINATOR_BITS = 14000
 
 # The realifications of SL(2,C) elements of each finite order, (x-1)^4,
@@ -72,7 +70,6 @@ class ActionValidationError(ValueError):
 
 
 _IDENTITY: IntMatrix = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-_ZERO: Point = (Fraction(0),) * 4
 # The column span of I mod 2: every vector of 0s and 1s.
 _BINARY = tuple(product((0, 1), repeat=4))
 
@@ -196,17 +193,17 @@ class AffineTorusMap:
 
 def _fixed_numerators(
     linear: IntMatrix, shift: Numerators, den: int, p: int
-) -> tuple[int, list[Numerators]]:
+) -> list[Numerators]:
     """The fixed points of a validated element (M, t) of prime order p = 2
-    or 3, t given by its numerators T over den, as ``(s, numerators over
-    s)`` with s = p * den: the solutions of (M - I) x = -t mod Z^4.
+    or 3, t given by its numerators T over den, 6 times a denominator of t:
+    the solutions of (M - I) x = -t mod Z^4, as numerators over den.
 
     B = I for p = 2, where M = -I, and B = M + 2I for p = 3, where
     M^2 + M + I = 0; in both cases (M - I) B = -p I.  So x is fixed iff
-    x = B (t + w) / p for some w in Z^4, and its numerators over s are
-    B T + den * v mod s for v in the column span of B mod p: 16 points for
-    p = 2 and 9 for p = 3."""
-    s = p * den
+    x = B (t + w) / p for some w in Z^4, and its numerators are B T / p +
+    (den / p) v mod den for v in the column span of B mod p: 16 points for
+    p = 2 and 9 for p = 3.  6 divides T, so B T reduced mod p * den divides
+    by p exactly."""
     if p == 2:
         image, span = shift, _BINARY
     else:
@@ -217,7 +214,7 @@ def _fixed_numerators(
             (c0, c1, c2 + 2, c3),
             (d0, d1, d2, d3 + 2),
         )
-        image = _image(b, (0, 0, 0, 0), shift, s)
+        image = _image(b, (0, 0, 0, 0), shift, 3 * den)
         # A column outside the span so far triples it: the span plus 0, 1 or
         # 2 times the column are disjoint cosets.
         span = [(0, 0, 0, 0)]
@@ -228,9 +225,10 @@ def _fixed_numerators(
                     for x0, x1, x2, x3 in span
                     for k in range(3)
                 ]
-    t0, t1, t2, t3 = image
-    return s, [
-        ((t0 + den * v0) % s, (t1 + den * v1) % s, (t2 + den * v2) % s, (t3 + den * v3) % s)
+    t0, t1, t2, t3 = (t // p for t in image)
+    q = den // p
+    return [
+        ((t0 + q * v0) % den, (t1 + q * v1) % den, (t2 + q * v2) % den, (t3 + q * v3) % den)
         for v0, v1, v2, v3 in span
     ]
 
@@ -239,7 +237,8 @@ def _fixed_numerators(
 class TorusAction:
     """A validated finite group of affine torus automorphisms.  ``table``
     holds its elements in sorted order as pairs (M, numerators of t over
-    ``denominator``); ``orders[i]`` is the order of the i-th element."""
+    ``denominator``, 6 times the generators' common denominator);
+    ``orders[i]`` is the order of the i-th element."""
 
     label: str
     generators: tuple[AffineTorusMap, ...]
@@ -270,7 +269,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     costs |G|*|gens| products, an element reached by a word of length k has
     entries of bit size O(k), and an infinite group is rejected after at
     most (CAP + 1)*|gens| products.  All of it runs on integer tuples over
-    the generators' common denominator.
+    6 times the generators' common denominator, the action's denominator.
 
     Each element's order is then read off the power sums (tr M, ..., tr M^4)
     of its linear part M, taken from the one product M^2, and kept on the
@@ -293,6 +292,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     den = lcm(*(t.denominator for g in generators for t in g.translation))
     if den.bit_length() > DENOMINATOR_BITS:
         raise ActionValidationError(f"translation denominator over {DENOMINATOR_BITS} bits")
+    den *= 6
     steps = [
         (g.linear, tuple(t.numerator * (den // t.denominator) for t in g.translation))
         for g in generators
@@ -362,17 +362,6 @@ _STABILIZER_CLASSES: Mapping[tuple[int, tuple[tuple[int, int], ...]], tuple[str,
 }
 
 
-def _classify_stabilizer(orders: Sequence[int]) -> tuple[str, DuValType]:
-    """The class of a stabilizer given the orders of its elements."""
-    histogram: dict[int, int] = {}
-    for n in orders:
-        histogram[n] = histogram.get(n, 0) + 1
-    key = (len(orders), tuple(sorted(histogram.items())))
-    if key not in _STABILIZER_CLASSES:
-        raise ActionValidationError(f"unrecognized stabilizer {key}")
-    return _STABILIZER_CLASSES[key]
-
-
 @dataclass(frozen=True)
 class Orbit:
     """One orbit of singular points with its stabilizer data."""
@@ -402,44 +391,35 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
     fix the same points, only the first is solved for.
 
     An element of order p has its fixed points in closed form, as
-    numerators over s = p * D for the action's denominator D (see
-    ``_fixed_numerators``).  Points and translations are then lifted to one
-    common denominator by integer multiplies, so orbits, stabilizers and
+    numerators over the action's denominator (see ``_fixed_numerators``),
+    which the translations are given over too.  So orbits, stabilizers and
     representatives are found on integer tuples, and a Fraction is built
     only for each representative."""
     den = action.denominator
-    elements = action.table
-    solved = []
-    inverses = set()
-    for (linear, shift), n in zip(elements, action.orders):
-        if n in (2, 3) and (linear, shift) not in inverses:
-            solved.append(_fixed_numerators(linear, shift, den, n))
-            inverses.add((_mat_mul(linear, linear), _image(linear, shift, shift, den)))
-    # Every s is a multiple of den.
-    common = lcm(den, *(s for s, _ in solved))
     points = set()
-    for s, found in solved:
-        k = common // s
-        points.update((x0 * k, x1 * k, x2 * k, x3 * k) for x0, x1, x2, x3 in found)
-    k = common // den
-    elements = [
-        (linear, (t0 * k, t1 * k, t2 * k, t3 * k))
-        for linear, (t0, t1, t2, t3) in elements
-    ]
-    den = common
+    inverses = set()
+    for (linear, shift), n in zip(action.table, action.orders):
+        if n in (2, 3) and (linear, shift) not in inverses:
+            points.update(_fixed_numerators(linear, shift, den, n))
+            inverses.add((_mat_mul(linear, linear), _image(linear, shift, shift, den)))
 
+    # The orbits in the order of their least points.
     orbits: list[Orbit] = []
-    seen: set[Numerators] = set()
-    for point in sorted(points):
-        if point in seen:
-            continue
-        images = [_image(linear, shift, point, den) for linear, shift in elements]
+    while points:
+        point = min(points)
+        images = [_image(linear, shift, point, den) for linear, shift in action.table]
         orbit = set(images)
-        seen.update(orbit)
+        points -= orbit
         stabilizer = [n for image, n in zip(images, action.orders) if image == point]
         if len(orbit) * len(stabilizer) != action.order:
             raise ActionValidationError("orbit-stabilizer mismatch")
-        name, du_val = _classify_stabilizer(stabilizer)
+        histogram: dict[int, int] = {}
+        for n in stabilizer:
+            histogram[n] = histogram.get(n, 0) + 1
+        key = (len(stabilizer), tuple(sorted(histogram.items())))
+        if key not in _STABILIZER_CLASSES:
+            raise ActionValidationError(f"unrecognized stabilizer {key}")
+        name, du_val = _STABILIZER_CLASSES[key]
         orbits.append(
             Orbit(
                 representative=tuple(Fraction(x, den) for x in min(orbit)),
@@ -458,12 +438,8 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
     )
 
 
-def _frac4(*values: str | int | Fraction) -> Point:
-    return tuple(Fraction(v) for v in values)
-
-
 def _linear(rows: Sequence[Sequence[int]]) -> AffineTorusMap:
-    return AffineTorusMap(tuple(tuple(r) for r in rows), _ZERO)
+    return AffineTorusMap(rows, (0, 0, 0, 0))
 
 
 def _block_diag(b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -511,8 +487,8 @@ _L8_C = [
     [0, 1, 0, 1],
 ]
 # (1, 0) and (1/2, -i/2) of C^2 in L8 coordinates.
-_L8_SHIFT_B = _frac4("1/2", "1/2", 0, 0)
-_L8_SHIFT_C = _frac4(0, "1/2", 0, "-1/2")
+_L8_SHIFT_B = (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0))
+_L8_SHIFT_C = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(-1, 2))
 
 
 def _builtin_generators() -> dict[str, tuple[AffineTorusMap, ...]]:
@@ -521,8 +497,8 @@ def _builtin_generators() -> dict[str, tuple[AffineTorusMap, ...]]:
     l8_a = _linear(_L8_A)
     l8_b = _linear(_L8_B)
     l8_c = _linear(_L8_C)
-    l8_b_shifted = AffineTorusMap(tuple(tuple(r) for r in _L8_B), _L8_SHIFT_B)
-    l8_c_shifted = AffineTorusMap(tuple(tuple(r) for r in _L8_C), _L8_SHIFT_C)
+    l8_b_shifted = AffineTorusMap(_L8_B, _L8_SHIFT_B)
+    l8_c_shifted = AffineTorusMap(_L8_C, _L8_SHIFT_C)
     return {
         "kummer": (neg_id,),
         "z3-diagonal": (_linear(_block_diag(_MUL_J, _MUL_J2)),),
@@ -556,9 +532,7 @@ def _builtin_specs() -> list[tuple[str, str, tuple[AffineTorusMap, ...]]]:
 def builtin_actions() -> list[TorusAction]:
     """The ten named example actions realizing the classified quotient
     multisets, each validated on construction."""
-    return [
-        close_group(generators, label=name) for name, generators in _BUILTINS.items()
-    ]
+    return [builtin_action(name) for name in _BUILTINS]
 
 
 def builtin_action(name: str) -> TorusAction:
@@ -607,7 +581,13 @@ def _translation_entry(value: object) -> Fraction:
     if not match:
         raise TypeError(f'translation entry {_shown(value)} is not a "p/q" string')
     numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator or 1))
+    try:
+        return Fraction(int(numerator), int(denominator or 1))
+    except ValueError:  # the digits are over int's limit
+        raise ValueError(
+            f"translation entry {_shown(value)} has an integer over "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def action_from_json(data: dict) -> TorusAction:
@@ -642,11 +622,28 @@ def action_from_json(data: dict) -> TorusAction:
     return close_group(generators, label=label)
 
 
+def _json_integer(text: str) -> int:
+    """A JSON integer, read as json reads it; one that int refuses, for its
+    digits are over int's limit, is named as ``_shown`` names a number."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ActionValidationError(
+            f"malformed action description: number {text[:40]}... has over "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def load_action(path: str) -> TorusAction:
     with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # A RecursionError is the decoder's answer to deep nesting.
-            raise ActionValidationError(f"invalid JSON: {exc}") from exc
+        text = handle.read()
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # A RecursionError is the decoder's answer to deep nesting.
+        raise ActionValidationError(f"invalid JSON: {exc}") from exc
+    except ValueError:
+        # Only int's digit limit raises a plain ValueError here; a second read
+        # through a hook, which every integer would pay for, names the number.
+        data = json.loads(text, parse_int=_json_integer)
     return action_from_json(data)

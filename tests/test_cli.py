@@ -156,6 +156,49 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "operands, message",
+        [
+            (
+                ["9" * 5000, "1", "1", "1", "1", "1"],
+                "argument degree: integer '" + "9" * 40 + "'... over 4300 digits",
+            ),
+            (
+                ["5", "1", "1", "-" + "9" * 5000, "1", "1"],
+                "argument W: integer '-" + "9" * 39 + "'... over 4300 digits",
+            ),
+            (
+                ["5", "1", "1", "1", "1", " " + "9" * 5000 + "\n"],
+                "argument W: integer ' " + "9" * 39 + "'... over 4300 digits",
+            ),
+            (
+                ["x" * 41, "1", "1", "1", "1", "1"],
+                "argument degree: invalid int value: '" + "x" * 40 + "'...",
+            ),
+            (
+                ["x" * 40, "1", "1", "1", "1", "1"],
+                "argument degree: invalid int value: '" + "x" * 40 + "'",
+            ),
+            (["5", "1", "1", "1", "abc", "1"], "argument W: invalid int value: 'abc'"),
+        ],
+        ids=[
+            "wide-degree", "wide-weight", "wide-weight-in-whitespace", "41-characters",
+            "40-characters", "short",
+        ],
+    )
+    def test_refused_operand_shown_by_its_first_40_characters(
+        self, capsys, operands, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", *operands])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert err == (
+            "usage: cytk analyze [-h] [--json] degree W W W W W\n"
+            f"cytk analyze: error: {message}\n"
+        )
+        assert len(err.encode("utf-8")) < 200
+
     @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
     def test_largest_accepted_degree_prints(self, capsys, form):
         # five near-equal weights prime to d: the c2 bound's denominator,
@@ -289,6 +332,26 @@ class TestCensus:
             main(["census", str(sample), "--jobs", jobs])
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "jobs, message",
+        [
+            ("9" * 5000, "integer '" + "9" * 40 + "'... over 4300 digits"),
+            ("two" * 14, "must be an integer >= 1, got '" + "two" * 13 + "t'..."),
+            ("0", "must be an integer >= 1, got '0'"),
+        ],
+        ids=["wide", "42-characters", "short"],
+    )
+    def test_jobs_shown_by_its_first_40_characters(self, capsys, tmp_path, jobs, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", str(tmp_path / "k.txt"), "--jobs", jobs])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert err == (
+            "usage: cytk census [-h] [--csv PATH] [--json PATH] [--jobs JOBS] [path]\n"
+            f"cytk census: error: argument --jobs: {message}\n"
+        )
+        assert len(err.encode("utf-8")) < 200
 
     def test_parse_failures_keep_exit_zero(self, capsys, tmp_path):
         sample = tmp_path / "messy.txt"
@@ -673,6 +736,45 @@ class TestTorusQuotient:
             "error: malformed action description: "
             f'translation entry {shown} is not a "p/q" string\n'
         )
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            ("1/" + "3" * 5000, '"1/' + "3" * 37),
+            ("-" + "7" * 4301 + "/2", '"-' + "7" * 38),
+        ],
+        ids=["wide-denominator", "wide-numerator"],
+    )
+    def test_translation_entry_over_the_digit_limit_exit_3(self, capsys, tmp_path, entry, shown):
+        document = {"generators": [{"linear": ID4, "translation": [entry, "0", "0", "0"]}]}
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(capsys, "torus-quotient", "--file", str(bad))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: malformed action description: translation entry "
+            f"string {shown}... has an integer over 4300 digits\n"
+        )
+        assert len(err.encode("utf-8")) < 200
+
+    @pytest.mark.parametrize(
+        "number", ["9" * 5000, "-" + "8" * 4301], ids=["wide", "wide-negative"]
+    )
+    def test_json_integer_over_the_digit_limit_exit_3(self, capsys, tmp_path, number):
+        # json.dumps cannot write the number, which int cannot print
+        bad = tmp_path / "wide.json"
+        bad.write_text(
+            '{"generators": [{"linear": [[%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+            '[0, 0, 0, 1]], "translation": ["0", "0", "0", "0"]}]}' % number,
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "torus-quotient", "--file", str(bad))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: malformed action description: number {number[:40]}... "
+            "has over 4300 digits\n"
+        )
+        assert len(err.encode("utf-8")) < 200
 
     @pytest.mark.parametrize(
         "generators", [[], [{"linear": ID4, "translation": ["0", "0", "0", "0"]}] * 2],

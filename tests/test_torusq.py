@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cytk.cli import _quotient_json
 from cytk.surface import DuValMultiset, orbifold_c2
 from cytk.torusq import (
     _L8_A,
@@ -679,11 +681,30 @@ class TestClosedForms:
             for (linear, shift), g, n in zip(action.table, action.elements, action.orders):
                 if n not in (2, 3):
                     continue
-                s, numerators = _fixed_numerators(linear, shift, den, n)
-                assert s == n * den
-                closed = {tuple(Fraction(x, s) for x in point) for point in numerators}
+                numerators = _fixed_numerators(linear, shift, den, n)
+                closed = {tuple(Fraction(x, den) for x in point) for point in numerators}
                 assert len(closed) == len(numerators) == EXPECTED_FIXED_POINTS[n]
                 assert closed == fixed_points(pair(g))
+
+    def test_one_denominator_six_times_the_lcm(self):
+        for action in actions_and_conjugates():
+            translations = [t for g in action.generators for t in g.translation]
+            assert action.denominator == 6 * lcm(*(t.denominator for t in translations))
+
+    def test_replies_and_elements_are_pinned(self):
+        # The --json replies and the elements of all 60 actions, pinned
+        # byte for byte.
+        replies, elements = hashlib.sha256(), hashlib.sha256()
+        for action in actions_and_conjugates():
+            report = quotient_singularities(action)
+            replies.update(_quotient_json(report, orbifold_c2(report.multiset)).encode())
+            elements.update(repr([(g.linear, g.translation) for g in action.elements]).encode())
+        assert replies.hexdigest() == (
+            "e23adbbe0faef84963291e9873c1b7572499d9d1ce1bf1340067c49de5b54589"
+        )
+        assert elements.hexdigest() == (
+            "547da1ead2d8aeedda0a5a0dd5b983b42bfac7a125a8e3716d31bc4cd19fdb38"
+        )
 
     def test_orders_from_power_sums_match_the_walk(self):
         for action in actions_and_conjugates():
