@@ -5,8 +5,9 @@ The input format is tolerant whitespace-separated integers: the first
 integer on a line is the degree, the rest are weights (4 or 5 of them).
 Four-weight records are completed with the missing weight d/2, matching
 the correspondence between the two halves of the published classification.
-This module is the one owner of that format: ``parse_database`` reads it
-and ``format_record`` writes it.
+This module is the one owner of that format: ``census_lines`` reads it
+and ``format_record`` writes it.  Failures are listed in line order, and a
+record failing both predicates is "not quasismooth" before "not wellformed".
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import log10
 from typing import Iterable, NamedTuple, Sequence, TextIO
@@ -26,12 +27,6 @@ N3 = "N3"  # record arrived with 4 weights, the d/2 weight was appended
 N4 = "N4"  # record arrived with all 5 weights
 
 DIGITS = re.compile(r"[+-]?\d+(?:_\d+)*")  # the base-10 syntax of int()
-
-
-class NormalizedRecord(NamedTuple):
-    ws: WeightSystem
-    origin: str
-    source_line: int
 
 
 class RecordVerdict(NamedTuple):
@@ -77,9 +72,9 @@ def _integer_text(x: int) -> str:
     return str(x)
 
 
-def _record(values: list[int], lineno: int) -> NormalizedRecord:
-    """The record of a line's leading integers; ValueError says why they
-    denote none."""
+def _record(values: list[int]) -> tuple[WeightSystem, str]:
+    """The weight system and origin of a line's leading integers;
+    ValueError says why they denote none."""
     if len(values) < 2:
         raise ValueError("no degree/weight integers found")
     if min(values) <= 0:
@@ -101,24 +96,27 @@ def _record(values: list[int], lineno: int) -> NormalizedRecord:
         raise ValueError(
             f"degree {_integer_text(degree)} is not the weight sum {_integer_text(total)}"
         )
-    ws = WeightSystem(degree, weights)  # may raise ValueError
-    return NormalizedRecord(ws, origin, lineno)
+    return WeightSystem(degree, weights), origin  # may raise ValueError
 
 
-def parse_database(
+def census_lines(
     lines: Iterable[str],
-) -> tuple[list[NormalizedRecord], list[tuple[int, str]]]:
-    """One NormalizedRecord per non-comment, non-blank line.
+) -> tuple[CensusSummary, list[RecordVerdict]]:
+    """Read and evaluate every record of a list, in one pass over its lines.
 
     The leading integers of a line are degree then weights; everything from
     the first non-integer token on is ignored, but an integer over the
     interpreter's digit limit fails its line.  Lines starting with '#' are
     comments.  A 4-weight record gets the weight d/2 appended, and every
-    record must have d = sum(w).  Malformed lines are collected as
-    (line number, message) and never abort the run.
+    record must have d = sum(w).  A line that denotes no record fails with
+    the reason; a record fails "not quasismooth", then "not wellformed", for
+    each predicate it does not satisfy.  Failures never abort the run and
+    are listed in line order.
     """
-    records: list[NormalizedRecord] = []
+    verdicts: list[RecordVerdict] = []
     failures: list[tuple[int, str]] = []
+    not_smooth = 0
+    not_smooth_no_edge = 0
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0][0] == "#":
@@ -133,46 +131,32 @@ def parse_database(
                         limit = sys.get_int_max_str_digits()
                         raise ValueError(f"integer over the {limit}-digit limit")
                     break
-            records.append(_record(values, lineno))
+            ws, origin = _record(values)
         except ValueError as exc:
             failures.append((lineno, str(exc)))
-    return records, failures
-
-
-def _evaluate(record: NormalizedRecord) -> RecordVerdict:
-    ws, origin, line = record
-    wellformed, quasismooth, locus = hypersurface.examine(ws)  # locus also for failures
-    return RecordVerdict(  # positional, in the order of the fields
-        line,
-        ws.degree,
-        ws.weights,
-        origin,
-        wellformed,
-        quasismooth,
-        hypersurface.is_calabi_yau_degree(ws),
-        locus.smooth_in_codim2,
-        locus.contains_no_edge,
-        tuple([str(c.quotient) for c in locus.singular_curves]),
-    )
-
-
-def run_census(
-    records: Sequence[NormalizedRecord],
-) -> tuple[CensusSummary, list[RecordVerdict]]:
-    """Evaluate every predicate on every record, in input order."""
-    verdicts = [_evaluate(r) for r in records]
-    failures = []
-    not_smooth = 0
-    not_smooth_no_edge = 0
-    for v in verdicts:
-        if not v.wellformed:
-            failures.append((v.line, "not wellformed"))
-        if not v.quasismooth:
-            failures.append((v.line, "not quasismooth"))
-        if not v.smooth_in_codim2:
+            continue
+        wellformed, quasismooth, locus = hypersurface.examine(ws)  # locus also for failures
+        if not quasismooth:
+            failures.append((lineno, "not quasismooth"))
+        if not wellformed:
+            failures.append((lineno, "not wellformed"))
+        if not locus.smooth_in_codim2:
             not_smooth += 1
-            if v.contains_no_edge:
-                not_smooth_no_edge += 1
+            not_smooth_no_edge += locus.contains_no_edge
+        verdicts.append(
+            RecordVerdict(  # positional, in the order of the fields
+                lineno,
+                ws.degree,
+                ws.weights,
+                origin,
+                wellformed,
+                quasismooth,
+                True,  # _record refused every record with d != sum(w)
+                locus.smooth_in_codim2,
+                locus.contains_no_edge,
+                tuple([str(c.quotient) for c in locus.singular_curves]),
+            )
+        )
     summary = CensusSummary(
         total=len(verdicts),
         not_smooth_codim2=not_smooth,
@@ -180,16 +164,6 @@ def run_census(
         failures=tuple(failures),
     )
     return summary, verdicts
-
-
-def census_lines(
-    lines: Iterable[str],
-) -> tuple[CensusSummary, list[RecordVerdict]]:
-    """Parse and evaluate; all failures end up in the summary."""
-    records, failures = parse_database(lines)
-    summary, verdicts = run_census(records)
-    merged = tuple(sorted(failures + list(summary.failures)))
-    return replace(summary, failures=merged), verdicts
 
 
 # A boolean as the CSV and every JSON document cytk writes spell it.

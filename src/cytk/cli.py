@@ -33,14 +33,14 @@ An operand that ``int`` refuses is shown by its first 40 characters, and
 one with ``int``'s syntax is named as over its digit limit, so that no
 usage error echoes a long token whole.
 
-``census -`` reads stdin as bytes and decodes them as strictly as a file,
-so a byte that is not UTF-8 is an I/O error whatever the locale.
+``census -`` opens stdin's descriptor as it opens a file, in UTF-8 with
+universal newlines, so a byte that is not UTF-8 is an I/O error whatever
+the locale.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
 import sys
@@ -224,13 +224,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     path = args.path or os.environ.get(DATABASE_ENV)
+    stdin = not path or path == "-"
     try:
-        if path and path != "-":
-            with open(path, encoding="utf-8") as handle:
-                lines = handle.readlines()
-        else:
-            text = sys.stdin.buffer.read().decode("utf-8")
-            lines = io.StringIO(text, newline=None).readlines()
+        with open(
+            sys.stdin.fileno() if stdin else path, encoding="utf-8", closefd=not stdin
+        ) as handle:
+            lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

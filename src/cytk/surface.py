@@ -71,7 +71,7 @@ class DuValType:
         return f"{self.family}{self.index}"
 
 
-_ENTRY_RE = re.compile(r"^(\d*)([ADE])(\d+)$")
+_ENTRY_RE = re.compile(r"(\d*)([ADE])(\d+)")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class DuValMultiset:
         e.g. "16A1", "2A3+11A1", "E6+D4+4A2+A1"."""
         entries = []
         for chunk in text.replace(" ", "").split("+"):
-            match = _ENTRY_RE.match(chunk)
+            match = _ENTRY_RE.fullmatch(chunk)
             if not match:
                 shown = repr(chunk) if len(chunk) <= 40 else f"{chunk[:40]!r}..."
                 raise ValueError(f"cannot parse multiset entry {shown}")

@@ -24,12 +24,14 @@ each orbit's representative, and for each element's translation when
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from math import lcm
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from cytk.surface import REALIZED, DuValMultiset, DuValType
@@ -167,14 +169,16 @@ class AffineTorusMap:
     translation: Point
 
     def __post_init__(self) -> None:
-        linear = tuple(tuple(int(x) for x in row) for row in self.linear)
+        linear = tuple(tuple(map(operator.index, row)) for row in self.linear)
         if len(linear) != 4 or any(len(r) != 4 for r in linear):
             raise ValueError("linear part must be a 4x4 integer matrix")
         if abs(_determinant(linear)) != 1:
             raise ValueError("linear part must be unimodular")
+        for t in self.translation:  # a float is not read as its binary fraction
+            if not isinstance(t, Rational):
+                raise TypeError(f"{type(t).__name__!r} object is not a rational number")
         translation = tuple(
-            Fraction(t.numerator % t.denominator, t.denominator)
-            for t in map(Fraction, self.translation)
+            Fraction(t.numerator % t.denominator, t.denominator) for t in self.translation
         )
         if len(translation) != 4:
             raise ValueError("translation must have 4 coordinates")

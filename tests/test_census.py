@@ -9,18 +9,17 @@ from cytk.census import (
     N3,
     N4,
     CensusSummary,
-    NormalizedRecord,
     census_lines,
     format_record,
-    parse_database,
-    run_census,
     write_csv,
     write_json,
 )
+from cytk.cli import main
 from cytk.wps import WeightSystem
 
 PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 KS_LIST = PERFBENCH_DATA / "kreuzer_skarke_wp4.txt"
+CENSUS_DATA = Path(__file__).resolve().parent / "data" / "census"
 
 SAMPLE = [
     "5 1 1 1 1 1",
@@ -47,33 +46,43 @@ FAILURE_CASES = [
 ]
 
 
+def read(lines):
+    """The (line, degree, weights, origin) of each verdict, and the failures."""
+    summary, verdicts = census_lines(lines)
+    records = [(v.line, v.degree, v.weights, v.origin) for v in verdicts]
+    return records, list(summary.failures)
+
+
+def verdict(line):
+    """The verdict of a one-line list that holds a record."""
+    _, (v,) = census_lines([line])
+    return v
+
+
 class TestParseDatabase:
     def test_four_weight_record(self):
-        records, failures = parse_database(["1734 91 96 102 578"])
-        assert failures == []
-        assert records == [
-            NormalizedRecord(WeightSystem(1734, (91, 96, 102, 578, 867)), N3, 1)
-        ]
+        assert read(["1734 91 96 102 578"]) == (
+            [(1, 1734, (91, 96, 102, 578, 867), N3)],
+            [],
+        )
 
     def test_five_weight_record(self):
-        records, _ = parse_database(["120 3 7 20 40 50"])
-        assert records == [NormalizedRecord(WeightSystem(120, (3, 7, 20, 40, 50)), N4, 1)]
+        assert read(["120 3 7 20 40 50"]) == ([(1, 120, (3, 7, 20, 40, 50), N4)], [])
 
     def test_comments_and_blanks_skipped(self):
-        records, failures = parse_database(["# comment", "", "  ", "5 1 1 1 1 1"])
-        assert len(records) == 1 and records[0].source_line == 4
+        records, failures = read(["# comment", "", "  ", "5 1 1 1 1 1"])
+        assert records == [(4, 5, (1, 1, 1, 1, 1), N4)]
         assert failures == []
 
     def test_trailing_tokens_ignored(self):
-        records, failures = parse_database(["120 3 7 20 40 50 # nice one"])
-        assert records == [NormalizedRecord(WeightSystem(120, (3, 7, 20, 40, 50)), N4, 1)]
-        assert failures == []
+        assert read(["120 3 7 20 40 50 # nice one"]) == (
+            [(1, 120, (3, 7, 20, 40, 50), N4)],
+            [],
+        )
 
     def test_bad_lines_collected_not_fatal(self):
-        records, failures = parse_database(
-            ["junk", "5 1 1", "8 1 1 1 1 1 1 1", "5 1 1 1 1 1"]
-        )
-        assert len(records) == 1
+        records, failures = read(["junk", "5 1 1", "8 1 1 1 1 1 1 1", "5 1 1 1 1 1"])
+        assert [line for line, *_ in records] == [4]
         assert [line for line, _ in failures] == [1, 2, 3]
 
     @pytest.mark.parametrize(
@@ -84,9 +93,9 @@ class TestParseDatabase:
     def test_integer_over_the_digit_limit_fails_its_line(self, token):
         # int() refuses the token, which must not end the record early: the
         # line would read as the 4-weight record 20; 1,2,3,4,10
-        records, failures = parse_database([f"20 1 2 3 4 {token}", "5 1 1 1 1 1"])
+        records, failures = read([f"20 1 2 3 4 {token}", "5 1 1 1 1 1"])
         assert failures == [(1, "integer over the 4300-digit limit")]
-        assert [r.source_line for r in records] == [2]
+        assert [line for line, *_ in records] == [2]
 
     @pytest.mark.parametrize(
         "line, reason",
@@ -108,49 +117,46 @@ class TestParseDatabase:
         ids=["sum-4301-digits", "sum-4300-digits", "degree-41-digits", "degree-40-digits"],
     )
     def test_wide_integer_in_a_failure_is_cut_to_40_digits(self, line, reason):
-        records, failures = parse_database([line])
-        assert (records, failures) == ([], [(1, reason)])
+        assert read([line]) == ([], [(1, reason)])
 
     def test_odd_degree_four_weights_rejected(self):
-        _, failures = parse_database(["9 1 1 3 4"])
-        assert failures == [(1, "4-weight record with odd degree")]
+        assert read(["9 1 1 3 4"]) == ([], [(1, "4-weight record with odd degree")])
 
     def test_trivial_variable_rejected(self):
-        _, failures = parse_database(["10 1 2 2 5"])
+        _, failures = read(["10 1 2 2 5"])
         assert "d/2" in failures[0][1]
 
 
 class TestNormalize:
-    """parse_database completes a 4-weight record with the weight d/2 and
+    """census_lines completes a 4-weight record with the weight d/2 and
     requires d = sum(w); format_record writes the record back."""
 
     def test_appends_half_degree(self):
-        (nr,), _ = parse_database(["1734 91 96 102 578"])
-        assert nr.ws.weights == (91, 96, 102, 578, 867)
-        assert nr.origin == N3
+        v = verdict("1734 91 96 102 578")
+        assert v.weights == (91, 96, 102, 578, 867)
+        assert v.origin == N3
 
     def test_five_weights_pass_through(self):
-        (nr,), _ = parse_database(["120 3 7 20 40 50"])
-        assert nr.ws.weights == (3, 7, 20, 40, 50)
-        assert nr.origin == N4
+        v = verdict("120 3 7 20 40 50")
+        assert v.weights == (3, 7, 20, 40, 50)
+        assert v.origin == N4
 
     def test_small_example(self):
-        (nr,), _ = parse_database(["10 1 1 1 2"])
-        assert nr.ws.weights == (1, 1, 1, 2, 5)
+        assert verdict("10 1 1 1 2").weights == (1, 1, 1, 2, 5)
 
     def test_wrong_sum_rejected(self):
-        records, failures = parse_database(["8 1 1 1 2"])
-        assert records == []
-        assert failures == [(1, "degree 8 is not the weight sum 9")]
+        assert read(["8 1 1 1 2"]) == ([], [(1, "degree 8 is not the weight sum 9")])
 
     def test_round_trip(self):
         for line in ("1734 91 96 102 578", "120 3 7 20 40 50"):
-            (nr,), _ = parse_database([line])
-            assert format_record(nr.ws.degree, nr.ws.weights) == line
+            v = verdict(line)
+            assert format_record(v.degree, v.weights) == line
 
     def test_distinct_records_stay_distinct(self):
-        (a,), _ = parse_database(["1734 91 96 102 578"])
-        b = NormalizedRecord(a.ws, N4, 1)
+        a = verdict("1734 91 96 102 578")
+        b = verdict("1734 91 96 102 578 867")
+        assert (a.degree, a.weights) == (b.degree, b.weights)
+        assert (a.origin, b.origin) == (N3, N4)
         assert a != b
 
 
@@ -163,13 +169,13 @@ class TestRecordFormat:
 
     def test_ks_list_lines_are_formatted_records(self):
         lines = KS_LIST.read_text(encoding="utf-8").splitlines()
-        records, failures = parse_database(lines)
-        assert failures == []
-        assert len(records) == sum(
+        summary, verdicts = census_lines(lines)
+        assert summary.failures == ()
+        assert len(verdicts) == sum(
             1 for line in lines if line.strip() and not line.startswith("#")
         )
-        for r in records:
-            assert format_record(r.ws.degree, r.ws.weights) == lines[r.source_line - 1]
+        for v in verdicts:
+            assert format_record(v.degree, v.weights) == lines[v.line - 1]
 
     @pytest.mark.parametrize("line, reasons", FAILURE_CASES)
     def test_census_failure_reasons(self, line, reasons):
@@ -179,23 +185,22 @@ class TestRecordFormat:
         assert summary.total == len(verdicts) == int(evaluated)
 
 
-def normalized_sample():
-    records, failures = parse_database(SAMPLE)
-    assert not failures
-    return records
-
-
 class TestRunCensus:
     def test_three_record_sample(self):
-        summary, verdicts = run_census(normalized_sample())
+        summary, verdicts = census_lines(SAMPLE)
         assert summary.total == 3
         assert summary.not_smooth_codim2 == 2
         assert summary.not_smooth_codim2_and_no_edge == 2
         assert summary.failures == ()
+        assert [(v.line, v.degree, v.weights, v.origin) for v in verdicts] == [
+            (1, 5, (1, 1, 1, 1, 1), N4),
+            (2, 120, (3, 7, 20, 40, 50), N4),
+            (3, 1734, (91, 96, 102, 578, 867), N3),
+        ]
         assert [v.smooth_in_codim2 for v in verdicts] == [True, False, False]
 
     def test_empty_input(self):
-        summary, verdicts = run_census([])
+        summary, verdicts = census_lines([])
         assert (summary.total, summary.not_smooth_codim2) == (0, 0)
         assert summary.not_smooth_codim2_and_no_edge == 0
         assert verdicts == []
@@ -225,7 +230,7 @@ class TestRunCensus:
 
 class TestExports:
     def test_csv_shape(self):
-        summary, verdicts = run_census(normalized_sample())
+        summary, verdicts = census_lines(SAMPLE)
         out = io.StringIO()
         write_csv(verdicts, out)
         lines = out.getvalue().splitlines()
@@ -234,7 +239,7 @@ class TestExports:
         assert "1/10(1,9)" in lines[2]
 
     def test_json_round_trip(self):
-        summary, verdicts = run_census(normalized_sample())
+        summary, verdicts = census_lines(SAMPLE)
         text = written_json(summary, verdicts)
         document = json.loads(text)
         assert json.dumps(document, sort_keys=True, indent=2) + "\n" == text
@@ -243,11 +248,15 @@ class TestExports:
     def test_verdict_values_match_module_predicates(self):
         from cytk import hypersurface
 
-        _, verdicts = run_census(normalized_sample())
-        for record, verdict in zip(normalized_sample(), verdicts):
-            assert verdict.wellformed == hypersurface.is_wellformed_hypersurface(record.ws)
-            assert verdict.quasismooth == hypersurface.is_quasismooth(record.ws)
-            assert verdict.calabi_yau == hypersurface.is_calabi_yau_degree(record.ws)
+        # the sample, then a record failing both predicates and one failing
+        # quasismoothness only
+        _, verdicts = census_lines(SAMPLE + ["14 1 1 4 4 4", "9 1 1 1 1 5"])
+        assert len(verdicts) == 5
+        for v in verdicts:
+            ws = WeightSystem(v.degree, v.weights)
+            assert v.wellformed == hypersurface.is_wellformed_hypersurface(ws)
+            assert v.quasismooth == hypersurface.is_quasismooth(ws)
+            assert v.calabi_yau == hypersurface.is_calabi_yau_degree(ws)
 
 
 def written_json(summary, verdicts):
@@ -319,6 +328,27 @@ class TestWriteJson:
         assert json.loads(text)["summary"]["failures"][0]["reason"] == (
             'say "no"\\ then\tstop: \u00e9'
         )
+
+
+class TestMixedList:
+    """A list holding records, a record with an ignored tail, predicate
+    failures before parse failures, and every parse failure: the census's
+    stdout, CSV and JSON are pinned byte for byte, failures in line order."""
+
+    def test_outputs_are_golden(self, capsys, tmp_path):
+        csv_path, json_path = tmp_path / "mixed.csv", tmp_path / "mixed.json"
+        argv = ["census", str(CENSUS_DATA / "mixed.txt")]
+        code = main([*argv, "--csv", str(csv_path), "--json", str(json_path)])
+        assert code == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (CENSUS_DATA / "mixed.stdout").read_bytes()
+        assert csv_path.read_bytes() == (CENSUS_DATA / "mixed.csv").read_bytes()
+        assert json_path.read_bytes() == (CENSUS_DATA / "mixed.json").read_bytes()
+
+    def test_every_failure_reason_is_in_the_list(self):
+        lines = (CENSUS_DATA / "mixed.txt").read_text(encoding="utf-8").splitlines()
+        assert {line for line, _ in FAILURE_CASES} <= set(lines)
+        assert "20 1 2 3 4 " + "9" * 4301 in lines  # over the digit limit
 
 
 class TestDatabase:

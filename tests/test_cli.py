@@ -528,8 +528,17 @@ class TestSurface:
             ("A1+" + "X" * 40, "'" + "X" * 40 + "'"),
             ("9" * 100000 + "Q", "'" + "9" * 40 + "'..."),
             ("A1+" + "X" * 41, "'" + "X" * 40 + "'..."),
+            ("8A1\n+8A1", "'8A1\\n'"),
+            ("16A1\n", "'16A1\\n'"),
         ],
-        ids=["short", "40-characters", "100000-characters", "41-characters"],
+        ids=[
+            "short",
+            "40-characters",
+            "100000-characters",
+            "41-characters",
+            "inner-newline",
+            "final-newline",
+        ],
     )
     def test_malformed_entry_shown_by_its_first_40_characters(self, capsys, text, shown):
         code, out, err = run_cli(capsys, "surface", text)
@@ -857,7 +866,9 @@ def json_reply(argv):
 
 
 with open(KS_LIST, encoding="utf-8") as _handle:
-    KS_SYSTEMS = [record.ws for record in census.parse_database(_handle)[0]]
+    KS_SYSTEMS = [
+        WeightSystem(v.degree, v.weights) for v in census.census_lines(_handle)[1]
+    ]
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cytk import hypersurface
 from cytk.arith import is_pair_partitionable
-from cytk.census import parse_database
+from cytk.census import census_lines
 from cytk.hypersurface import (
     ContainedEdge,
     EdgePointLocus,
@@ -287,10 +287,11 @@ class TestAgainstAllSubsetsReference:
     def test_ks_list(self):
         # every record of the KS list, contained edges and point loci included
         lines = KS_LIST.read_text(encoding="utf-8").splitlines()
-        records, failures = parse_database(lines)
-        assert len(records) == 7355 and not failures
-        for record in records:
-            assert examine(record.ws) == reference_examine(record.ws)
+        summary, verdicts = census_lines(lines)
+        assert len(verdicts) == 7355 and not summary.failures
+        for v in verdicts:
+            ws = WeightSystem(v.degree, v.weights)
+            assert examine(ws) == reference_examine(ws)
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))

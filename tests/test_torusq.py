@@ -121,8 +121,22 @@ class TestAffineTorusMap:
             AffineTorusMap(tuple(tuple(2 * int(i == j) for j in range(4)) for i in range(4)), ZERO4)
 
     def test_translation_canonicalized(self):
-        g = AffineTorusMap(ID4, (Fraction(3, 2), Fraction(-1, 4), 0, 0))
+        g = AffineTorusMap(NEG_ID_JSON, (Fraction(3, 2), Fraction(-1, 4), 0, -3))
+        assert g.linear == NEG_ID
         assert g.translation == (HALF, Fraction(3, 4), 0, 0)
+        assert all(type(t) is Fraction for t in g.translation)
+
+    def test_rejects_a_non_integer_linear_entry(self):
+        # as WeightSystem does: -1.9 is not truncated to -1
+        linear = ((-1.9, 0, 0, 0),) + ID4[1:]
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            AffineTorusMap(linear, ZERO4)
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, "1/2"], ids=["float", "exact-float", "string"])
+    def test_rejects_a_translation_coordinate_that_is_not_rational(self, t):
+        # 0.1 is not read as its binary fraction 3602879701896397/2**55
+        with pytest.raises(TypeError, match="object is not a rational number"):
+            AffineTorusMap(ID4, (t, 0, 0, 0))
 
     def test_composition_rule(self):
         # (M1,t1)(M2,t2) = (M1 M2, M1 t2 + t1): the closure of a and b'
