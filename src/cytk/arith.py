@@ -33,6 +33,10 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
+# Every integer a reply prints is below 2**14284 < 10**4300, Python's
+# default limit on the digits of an int turned into a string.
+INTEGER_BITS = 14284
+
 
 def is_pair_partitionable(target: int, a: int, b: int) -> bool:
     """True iff ``target = x*a + y*b`` with x, y >= 0, for positive a, b.

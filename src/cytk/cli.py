@@ -6,9 +6,8 @@ call of ``main``, and concurrent callers can share it, since it keeps no
 per-call state.  A request takes one of two paths.  The common shapes
 skip argparse: ``analyze`` with six tokens of ASCII digits, each with an
 optional leading ``-``; ``surface`` with one token that does not start
-with ``-``; ``enumerate-zero-c2`` with no operand; and
-``torus-quotient --builtin X`` or ``--file X`` with an X that does not
-start with ``-``; each with an optional trailing ``--json``.  argparse
+with ``-``; and ``torus-quotient --file X`` with an X that does not start
+with ``-``; each with an optional trailing ``--json``.  argparse
 reads such tokens as positionals or option values, and ``int`` converts
 them as it would, so the namespace built directly is the one the parser
 returns.  Any other request, and a token ``int`` refuses, goes to the
@@ -25,17 +24,15 @@ C escaper ``encode_basestring_ascii`` and arrays of varying length through
 
 An integer printed in a reply stays within ``INTEGER_BITS`` bits, below
 Python's 4300-digit limit for printing an int: ``analyze`` rejects a
-degree over ``DEGREE_BITS`` bits and ``surface`` a multiset whose sum of
-k, lcm of local group orders or orbifold c2 numerator is wider, with exit
-2 and before any output.  The lcm is a multiple of c2's denominator, so a
-multiset may be rejected for it while that denominator is narrower.
-An operand that ``int`` refuses is shown by its first 40 characters, and
-one with ``int``'s syntax is named as over its digit limit, so that no
-usage error echoes a long token whole.
+degree over ``DEGREE_BITS`` bits, and ``surface`` a multiset that
+``surface.classify`` refuses as too wide, with exit 2 and before any
+output.  An operand that ``int`` refuses is shown by its first 40
+characters, and one with ``int``'s syntax is named as over its digit
+limit, so that no usage error echoes a long token whole.
 
 ``census -`` opens stdin's descriptor as it opens a file, in UTF-8 with
 universal newlines, so a byte that is not UTF-8 is an I/O error whatever
-the locale.
+the locale, as is a closed stdin.
 """
 
 from __future__ import annotations
@@ -45,13 +42,12 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from math import lcm
 from typing import Optional, Sequence
 
 from cytk import census as census_mod
 from cytk import hypersurface
+from cytk.arith import INTEGER_BITS
 from cytk.census import BOOL_TEXT, DIGITS, json_array
 from cytk.wps import WeightSystem
 
@@ -62,9 +58,6 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
-# Every integer a reply prints is below 2**14284 < 10**4300, Python's
-# default limit on the digits of an int turned into a string.
-INTEGER_BITS = 14284
 # The c2 bound's denominator 10·N, N the product of five weights of at
 # most the degree, then stays below 2**4 · 2**(5 · 2856) = 2**INTEGER_BITS.
 DEGREE_BITS = (INTEGER_BITS - 4) // 5
@@ -225,6 +218,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     path = args.path or os.environ.get(DATABASE_ENV)
     stdin = not path or path == "-"
+    if stdin and sys.stdin is None:  # started with its descriptor 0 closed
+        print("error: stdin is closed", file=sys.stderr)
+        return EXIT_IO
     try:
         with open(
             sys.stdin.fileno() if stdin else path, encoding="utf-8", closefd=not stdin
@@ -288,28 +284,9 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
     try:
         multiset = surface.DuValMultiset.parse(args.multiset)
+        result = surface.classify(multiset)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    too_wide = f"error: orbifold c2 or sum of k over {INTEGER_BITS} bits"
-    if multiset.sum_k.bit_length() > INTEGER_BITS:
-        print(too_wide, file=sys.stderr)
-        return EXIT_USAGE
-    # c2's denominator divides the lcm of the local orders.  The lcm is
-    # bounded as it grows, one type at a time, because building c2 from a
-    # long multiset of wide types costs seconds before its width shows.
-    orders = accumulate((typ.r for typ, _ in multiset), lcm)
-    if any(order.bit_length() > INTEGER_BITS for order in orders):
-        print(
-            f"error: lcm of the local group orders over {INTEGER_BITS} bits "
-            "(the orbifold c2 denominator divides it and may be narrower)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    result = surface.classify(multiset)
-    if result.c2.numerator.bit_length() > INTEGER_BITS:
-        print(too_wide, file=sys.stderr)
         return EXIT_USAGE
 
     if args.json:
@@ -576,14 +553,13 @@ def _direct(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         fields = dict(degree=degree, weights=weights, handler=_cmd_analyze)
     elif command == "surface" and len(operands) == 1 and operands[0][:1] != "-":
         fields = dict(multiset=operands[0], handler=_cmd_surface)
-    elif command == "enumerate-zero-c2" and not operands:
-        fields = dict(handler=_cmd_enumerate)
     elif (
         command == "torus-quotient" and len(operands) == 2
-        and operands[0] in ("--builtin", "--file") and operands[1][:1] != "-"
+        and operands[0] == "--file" and operands[1][:1] != "-"
     ):
-        fields = dict(builtin=None, file=None, list_builtins=False, handler=_cmd_torus)
-        fields[operands[0][2:]] = operands[1]
+        fields = dict(
+            builtin=None, file=operands[1], list_builtins=False, handler=_cmd_torus
+        )
     else:
         return None
     return argparse.Namespace(command=command, json=flag, **fields)

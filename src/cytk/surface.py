@@ -12,7 +12,9 @@ multiset carries at least 11 curves; below that the value is flagged
 conditional).
 
 ``classify`` answers for a multiset in one report, whose abelian-quotient
-gate excludes it for c2 != 0 or, when c2 = 0, for sum k > 19.
+gate excludes it for c2 != 0 or, when c2 = 0, for sum k > 19.  Every
+integer of a report fits in ``arith.INTEGER_BITS`` bits, so that it can be
+printed: ``classify`` and ``orbifold_c2`` raise ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional
 
+from cytk.arith import INTEGER_BITS
+
 GATE_C2 = "c2 != 0"
 GATE_TOO_MANY = "sum k > 19"
+_TOO_WIDE = f"orbifold c2 or sum of k over {INTEGER_BITS} bits"
 
 # Local group orders: cyclic for A_n, binary dihedral for D_n, binary
 # tetrahedral / octahedral / icosahedral for E6 / E7 / E8.
@@ -98,15 +103,15 @@ class DuValMultiset:
         entries = []
         for chunk in text.replace(" ", "").split("+"):
             match = _ENTRY_RE.fullmatch(chunk)
+            shown = repr(chunk) if len(chunk) <= 40 else f"{chunk[:40]!r}..."
             if not match:
-                shown = repr(chunk) if len(chunk) <= 40 else f"{chunk[:40]!r}..."
                 raise ValueError(f"cannot parse multiset entry {shown}")
             count, family, index = match.groups()
             try:
                 index, count = int(index), int(count or "1")
             except ValueError:  # the digits are over int's limit
                 raise ValueError(
-                    f"multiset entry {chunk[:40]!r}... has a count or index "
+                    f"multiset entry {shown} has a count or index "
                     f"over {sys.get_int_max_str_digits()} digits"
                 ) from None
             entries.append((DuValType(family, index), count))
@@ -136,9 +141,18 @@ def orbifold_c2(multiset: DuValMultiset) -> Fraction:
 
     The sum runs in integers: with L the lcm of the types' r (1 for the
     empty multiset), the value is (24·L - sum of count·scaled summand) / L,
-    one ``Fraction``.
+    one ``Fraction``.  L is built one type at a time and refused, by
+    ValueError, once over ``INTEGER_BITS`` bits: a long multiset of wide
+    types would cost seconds before the width of c2 showed.
     """
-    scale = lcm(*(typ.r for typ, _ in multiset))
+    scale = 1
+    for typ, _ in multiset:
+        scale = lcm(scale, typ.r)
+        if scale.bit_length() > INTEGER_BITS:
+            raise ValueError(
+                f"lcm of the local group orders over {INTEGER_BITS} bits "
+                "(the orbifold c2 denominator divides it and may be narrower)"
+            )
     deficit = sum(count * typ.scaled_deficiency(scale) for typ, count in multiset)
     return Fraction(24 * scale - deficit, scale)
 
@@ -190,8 +204,15 @@ class Classification:
 
 
 def classify(multiset: DuValMultiset) -> Classification:
-    """The report of a multiset, with c2 and the sum of k computed once."""
-    c2, sum_k = orbifold_c2(multiset), multiset.sum_k
+    """The report of a multiset, with c2 and the sum of k computed once;
+    ValueError for a sum of k, an lcm of the r's (``orbifold_c2``) or a c2
+    numerator over ``INTEGER_BITS`` bits, checked in that order."""
+    sum_k = multiset.sum_k
+    if sum_k.bit_length() > INTEGER_BITS:
+        raise ValueError(_TOO_WIDE)
+    c2 = orbifold_c2(multiset)
+    if c2.numerator.bit_length() > INTEGER_BITS:
+        raise ValueError(_TOO_WIDE)
     if c2 != 0:
         return Classification(c2, sum_k, sum_k < 11, GATE_C2, K3_TYPE)
     gate = GATE_TOO_MANY if sum_k > 19 else None

@@ -132,17 +132,15 @@ def _power_sums(linear: IntMatrix) -> tuple[int, int, int, int]:
     )
 
 
-def _power_traces(linear: IntMatrix, shift: Numerators, den: int) -> list[int]:
-    """The traces of M, M^2, ..., M^n for g = (M, t) of finite order n, t
-    given by its numerators over den."""
-    power, power_shift = linear, shift
-    traces = []
-    while True:
-        traces.append(power[0][0] + power[1][1] + power[2][2] + power[3][3])
-        if power == _IDENTITY and not any(power_shift):
-            return traces
+def _order(linear: IntMatrix, shift: Numerators, den: int) -> int:
+    """The order n of g = (M, t) of finite order, t given by its numerators
+    over den, by walking its powers."""
+    power, power_shift, n = linear, shift, 1
+    while power != _IDENTITY or any(power_shift):
         power_shift = _image(power, power_shift, shift, den)
         power = _mat_mul(power, linear)
+        n += 1
+    return n
 
 
 def _determinant(linear: IntMatrix) -> int:
@@ -282,8 +280,8 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     fix its eigenvalues and so make n the order of M.  When G holds no
     non-trivial translation, g^n = (I, t) lies in G and so is the identity,
     and n is the order of g.  Otherwise, and for an element whose power
-    sums are not canonical, the order is found by walking its powers, and
-    the walk's traces give the power sums that the rejection reports on.
+    sums are not canonical, the order is found by walking its powers; such
+    an element fails the order test or the SL(2,C) test.
 
     Raises ActionValidationError when the translations' common denominator
     exceeds ``DENOMINATOR_BITS`` bits, the closure exceeds ``CAP`` elements,
@@ -325,25 +323,24 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     for linear, shift in ordered:
         n = None if translated else _CANONICAL_ORDERS.get(_power_sums(linear))
         if n is None:
-            traces = _power_traces(linear, shift, den)
-            n = len(traces)
-            walks.append((traces, n))
+            n = _order(linear, shift, den)
+            walks.append(n)
         orders.append(n)
     involutions = orders.count(2)
     if involutions > 1:
         raise ActionValidationError(f"multiple involutions ({involutions})")
     if translated:
         raise ActionValidationError("contains nontrivial translation")
-    # The elements not walked have canonical power sums and pass both tests.
-    for traces, n in walks:
+    # Without translations n is also the order of M.  A walked element's
+    # power sums are canonical for no order, so n is forbidden or M fails
+    # the SL(2,C) test, and the first walked element decides.
+    if walks:
+        n = walks[0]
         if n not in _CANONICAL_POWER_SUMS:
             raise ActionValidationError(f"element of forbidden order {n}")
-        # M^n = I, so tr M^k = tr M^((k-1) mod n + 1).
-        if tuple(traces[k % n] for k in range(4)) != _CANONICAL_POWER_SUMS[n]:
-            raise ActionValidationError(
-                f"linear part of an order-{n} element is not an SL(2,C) "
-                "realification"
-            )
+        raise ActionValidationError(
+            f"linear part of an order-{n} element is not an SL(2,C) realification"
+        )
     return TorusAction(
         label=label,
         generators=generators,

@@ -382,6 +382,20 @@ class TestCensus:
         assert result.stderr.startswith(b"error: ") and b"0xff" in result.stderr
         assert b"Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv", [["census", "-"], ["census"]], ids=["dash", "bare"])
+    def test_closed_stdin_is_io_error(self, argv):
+        env = {key: value for key, value in os.environ.items() if key != "CYTK_DATABASE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m cytk "$@" <&-', sys.executable, *argv],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (cli.EXIT_IO, b"")
+        assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
+        assert b"Traceback" not in result.stderr
+
 
 def run_in_c_locale(argv, stdin: bytes) -> subprocess.CompletedProcess:
     """Run ``python -m cytk`` with no locale set, which is the C locale."""

@@ -1,4 +1,7 @@
+import math
+import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import CodeType
@@ -7,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cytk import surface
+from cytk.arith import INTEGER_BITS
 from cytk.surface import (
     EMPTY,
     _candidate_types,
@@ -315,3 +320,55 @@ class TestConditionalFlag:
     def test_eleven_curves_not_conditional(self):
         assert not classify(DuValMultiset.parse("11A1")).conditional
         assert not classify(DuValMultiset.parse("16A1")).conditional
+
+
+TOO_WIDE = f"^orbifold c2 or sum of k over {INTEGER_BITS} bits$"
+LCM_OVER = (
+    rf"^lcm of the local group orders over {INTEGER_BITS} bits "
+    r"\(the orbifold c2 denominator divides it and may be narrower\)$"
+)
+
+
+class TestWidthRefusals:
+    """The library refuses a report with an integer over INTEGER_BITS bits
+    in the words the command line prints."""
+
+    def test_widest_c2_numerator_at_the_bound(self):
+        # n A1 has c2 = (48 - 3n)/2: at this n the numerator is
+        # -(2**INTEGER_BITS - 1), and at n + 2 it is a bit wider
+        n = (2**INTEGER_BITS + 47) // 3
+        result = classify(DuValMultiset.parse(f"{n}A1"))
+        assert result.c2 == Fraction(-(2**INTEGER_BITS - 1), 2)
+        with pytest.raises(ValueError, match=TOO_WIDE):
+            classify(DuValMultiset.parse(f"{n + 2}A1"))
+
+    def test_sum_of_k_refused_before_c2_is_built(self, monkeypatch):
+        multiset = DuValMultiset(((DuValType("A", 1), 2**INTEGER_BITS),))
+        monkeypatch.setattr(surface, "orbifold_c2", None)
+        with pytest.raises(ValueError, match=TOO_WIDE):
+            classify(multiset)
+
+    def test_lcm_at_the_bound(self):
+        # r copies of A(r-1) for three pairwise coprime r: c2 is the integer
+        # 27 - (sum of r^2), but the lcm of the r's is their product
+        low = (2**4761 - 1, 2**4761 + 1)
+        at, over = (*low, 2**4762 - 3), (*low, 2**4762 + 1)
+        assert math.lcm(*at).bit_length() == INTEGER_BITS
+        assert math.lcm(*over).bit_length() == INTEGER_BITS + 1
+        result = classify(DuValMultiset.parse("+".join(f"{r}A{r - 1}" for r in at)))
+        assert result.c2 == 27 - sum(r * r for r in at)
+        wide = DuValMultiset.parse("+".join(f"{r}A{r - 1}" for r in over))
+        for refuse in (orbifold_c2, classify):
+            with pytest.raises(ValueError, match=LCM_OVER):
+                refuse(wide)
+
+    def test_long_multiset_of_wide_types_refused_fast(self):
+        # 30 types of 4000 digits: the lcm passes the bound at the second
+        # type, long before c2 could be built
+        rng = random.Random(0)
+        text = "+".join("A" + str(rng.randrange(10**3999, 10**4000)) for _ in range(30))
+        multiset = DuValMultiset.parse(text)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=LCM_OVER):
+            orbifold_c2(multiset)
+        assert time.perf_counter() - start < 0.25

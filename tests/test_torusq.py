@@ -27,8 +27,8 @@ from cytk.torusq import (
     _determinant,
     _fixed_numerators,
     _linear,
+    _order,
     _power_sums,
-    _power_traces,
     _translation_entry,
     BUILTIN_EXPECTED,
     CAP,
@@ -152,7 +152,7 @@ class TestAffineTorusMap:
     def test_order(self):
         def order_of(linear, shift=(0, 0, 0, 0), den=1):
             """The order of (M, t), t given by its numerators over den."""
-            return len(_power_traces(linear, shift, den))
+            return _order(linear, shift, den)
 
         assert order_of(NEG_ID) == 2
         assert order_of(ID4) == 1
@@ -724,8 +724,7 @@ class TestClosedForms:
         for action in actions_and_conjugates():
             den = action.denominator
             for (linear, shift), n in zip(action.table, action.orders):
-                walk = _power_traces(linear, shift, den)
-                assert n == len(walk)
+                assert n == _order(linear, shift, den)
                 square = _mul4(linear, linear)
                 traces = [sum(m[i][i] for i in range(4)) for m in (
                     linear, square, _mul4(square, linear), _mul4(square, square)
