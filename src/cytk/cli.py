@@ -223,7 +223,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
         return EXIT_IO
     try:
         with open(
-            sys.stdin.fileno() if stdin else path, encoding="utf-8", closefd=not stdin
+            sys.stdin.fileno() if stdin else path,
+            encoding="utf-8-sig",  # a leading byte-order mark is skipped
+            closefd=not stdin,
         ) as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:

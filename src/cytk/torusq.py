@@ -636,7 +636,7 @@ def _json_integer(text: str) -> int:
 
 
 def load_action(path: str) -> TorusAction:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # skips a byte-order mark
         text = handle.read()
     try:
         data = json.loads(text)

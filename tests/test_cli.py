@@ -58,6 +58,9 @@ TORUS_GOLDEN = Path(__file__).resolve().parent / "data" / "torus"
 # Reports of surface requests, text and --json, one file each, named by the
 # multiset: every multiset with c2 = 0, and A1, 3A1 and A5+A3.
 SURFACE_GOLDEN = Path(__file__).resolve().parent / "data" / "surface"
+# A mixed census list and its stdout, CSV and JSON.
+CENSUS_DATA = Path(__file__).resolve().parent / "data" / "census"
+UTF8_BOM = b"\xef\xbb\xbf"
 SRC = Path(__file__).resolve().parents[1] / "src"
 KS_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "kreuzer_skarke_wp4.txt"
 
@@ -396,6 +399,33 @@ class TestCensus:
         assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
         assert b"Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, source):
+        sample = tmp_path / "mixed.txt"
+        sample.write_bytes(UTF8_BOM + (CENSUS_DATA / "mixed.txt").read_bytes())
+        csv_path, json_path = tmp_path / "mixed.csv", tmp_path / "mixed.json"
+        exports = ["--csv", str(csv_path), "--json", str(json_path)]
+        if source == "file":
+            code, out, err = run_cli(capsys, "census", str(sample), *exports)
+            out = out.encode("utf-8")
+        else:
+            result = run_in_c_locale(["census", "-", *exports], sample.read_bytes())
+            code, out, err = result.returncode, result.stdout, result.stderr.decode()
+        assert (code, err) == (0, "")
+        assert out == (CENSUS_DATA / "mixed.stdout").read_bytes()
+        assert csv_path.read_bytes() == (CENSUS_DATA / "mixed.csv").read_bytes()
+        assert json_path.read_bytes() == (CENSUS_DATA / "mixed.json").read_bytes()
+
+    @pytest.mark.parametrize("option", ["--csv", "--json"])
+    def test_export_that_cannot_be_written_is_io_error(self, capsys, tmp_path, option):
+        sample = tmp_path / "sample.txt"
+        sample.write_text("5 1 1 1 1 1\n", encoding="utf-8")
+        target = tmp_path / "missing" / "table"
+        code, out, err = run_cli(capsys, "census", str(sample), option, str(target))
+        assert (code, out) == (cli.EXIT_IO, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 def run_in_c_locale(argv, stdin: bytes) -> subprocess.CompletedProcess:
     """Run ``python -m cytk`` with no locale set, which is the C locale."""
@@ -600,6 +630,15 @@ class TestTorusQuotient:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (TORUS_GOLDEN / f"{name}.{form}").read_bytes()
+
+    @pytest.mark.parametrize("form", ["txt", "json"])
+    def test_file_with_leading_byte_order_mark(self, capsys, tmp_path, form):
+        action = tmp_path / "kummer.json"
+        action.write_bytes(UTF8_BOM + json.dumps(KUMMER_ACTION).encode("utf-8"))
+        argv = ["torus-quotient", "--file", str(action)] + (["--json"] if form == "json" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (TORUS_GOLDEN / f"kummer.{form}").read_bytes()
 
     def test_list_builtins(self, capsys):
         code, out, _ = run_cli(capsys, "torus-quotient", "--list-builtins")

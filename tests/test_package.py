@@ -1,10 +1,13 @@
-"""The package's public names and the boundaries between its modules."""
+"""The modules each start loads and the boundaries between the modules."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import cytk
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cytk"
@@ -73,8 +76,46 @@ def private_names_from_other_modules(path):
     ]
 
 
-def test_public_names_resolve_and_no_private_name_crosses_modules():
-    assert [name for name in cytk.__all__ if not hasattr(cytk, name)] == []
+def cytk_modules_loaded_by(statement):
+    """The ``cytk.*`` modules loaded once ``statement`` has run in a fresh
+    interpreter, whatever it prints."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('cytk.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    return set(result.stdout.split())
+
+
+def test_importing_the_package_loads_no_module():
+    assert cytk_modules_loaded_by("import cytk") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, not_loaded",
+    [
+        (["analyze", "5", "1", "1", "1", "1", "1"], {"cytk.surface", "cytk.torusq"}),
+        (
+            ["census", str(ROOT / "tests" / "data" / "census" / "mixed.txt")],
+            {"cytk.surface", "cytk.torusq"},
+        ),
+        (["surface", "A1"], {"cytk.torusq"}),
+    ],
+    ids=["analyze", "census", "surface"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, not_loaded):
+    loaded = cytk_modules_loaded_by(f"from cytk.cli import main; assert main({argv!r}) == 0")
+    assert "cytk.cli" in loaded and loaded & not_loaded == set()
+
+
+def test_no_private_name_crosses_modules():
     sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
     crossings = {
         str(path.relative_to(ROOT)): found
