@@ -42,6 +42,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -377,11 +378,13 @@ _ORBIT = """{
 
 
 def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> str:
+    from cytk.torusq import reduced
+
     orbits = [
         _ORBIT
         % (
             encode_basestring_ascii(str(orbit.du_val)),
-            *(part for x in orbit.representative for part in (x.numerator, x.denominator)),
+            *chain.from_iterable(reduced(orbit.numerators, orbit.denominator)),
             orbit.size,
             encode_basestring_ascii(orbit.stabilizer_class),
             orbit.stabilizer_order,
@@ -396,6 +399,26 @@ def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> str:
         c2.denominator,
         json_array(orbits, "  "),
     )
+
+
+def _quotient_text(report: torusq.QuotientReport, c2: Fraction) -> str:
+    """The text reply: each coordinate of a representative as "p/q", or as
+    "p" when q is 1, as a Fraction prints."""
+    from cytk.torusq import reduced
+
+    lines = [f"action {report.label or '(unnamed)'}: group of order {report.group_order}"]
+    for orbit in report.orbits:
+        rep = ", ".join(
+            f"{n}/{d}" if d != 1 else str(n)
+            for n, d in reduced(orbit.numerators, orbit.denominator)
+        )
+        lines.append(
+            f"  orbit of size {orbit.size:2d} at ({rep}): stabilizer "
+            f"{orbit.stabilizer_class} (order {orbit.stabilizer_order}) -> {orbit.du_val}"
+        )
+    lines.append(f"quotient singularities: {report.multiset}")
+    lines.append(f"orbifold c2 check: {c2}")
+    return "\n".join(lines) + "\n"
 
 
 def _token(text: str) -> str:
@@ -451,24 +474,16 @@ def _cmd_torus(args: argparse.Namespace) -> int:
         # str() of a KeyError is the repr of its message; print the message.
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    except (torusq.ActionValidationError, OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # The action file cannot be opened or is not UTF-8, as for census.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (torusq.ActionValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     c2 = surface.orbifold_c2(report.multiset)
-
-    if args.json:
-        sys.stdout.write(_quotient_json(report, c2))
-        return EXIT_OK
-
-    print(f"action {report.label or '(unnamed)'}: group of order {report.group_order}")
-    for orbit in report.orbits:
-        rep = ", ".join(str(x) for x in orbit.representative)
-        print(
-            f"  orbit of size {orbit.size:2d} at ({rep}): stabilizer "
-            f"{orbit.stabilizer_class} (order {orbit.stabilizer_order}) -> {orbit.du_val}"
-        )
-    print(f"quotient singularities: {report.multiset}")
-    print(f"orbifold c2 check: {c2}")
+    reply = _quotient_json if args.json else _quotient_text
+    sys.stdout.write(reply(report, c2))
     return EXIT_OK
 
 

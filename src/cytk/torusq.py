@@ -12,12 +12,15 @@ Generators are read as pairs of an integer matrix and a tuple of Fraction.
 An action works over one denominator, 6 * D for D the lcm of its
 generators' translation denominators: an integral M maps (1/(6 D)) Z^4 into
 itself, so every element is a pair (M, numerators of t over 6 * D) of
-integer tuples.  The closure, the element orders, the fixed points and the
-orbits run on those tuples only, and each uses what validation fixes: an
-element's order is read off the power sums of its linear part, and an
-element of prime order p = 2 or 3 has its fixed points in closed form, with
-denominators dividing p * D and so 6 * D.  A Fraction is built only for
-each orbit's representative, and for each element's translation when
+integer tuples, with M flattened row by row to 16 entries, on which each
+4x4 product and each image is one written-out expression.  The closure,
+the element orders, the fixed points and the orbits run on those tuples
+only, and each uses what validation fixes: an element's order is read off
+the power sums of its linear part, and an element of prime order p = 2 or
+3 has its fixed points in closed form, with denominators dividing p * D and
+so 6 * D.  An orbit keeps its least point as numerators over 6 * D, which
+``reduced`` gives as reduced numerators and denominators for printing; a
+Fraction is built only where ``Orbit.representative`` or
 ``TorusAction.elements`` is read.
 """
 
@@ -30,13 +33,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from cytk.surface import REALIZED, DuValMultiset, DuValType
 
 IntMatrix = tuple[tuple[int, ...], ...]
+# A 4x4 integer matrix as its 16 entries, row by row.
+FlatMatrix = tuple[int, ...]
 Point = tuple[Fraction, Fraction, Fraction, Fraction]
 # Numerators of a translation or a point over its action's denominator.
 Numerators = tuple[int, ...]
@@ -71,68 +76,78 @@ class ActionValidationError(ValueError):
     """The generated transformation set is not a canonical torus action."""
 
 
-_IDENTITY: IntMatrix = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+_IDENTITY: FlatMatrix = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
 # The column span of I mod 2: every vector of 0s and 1s.
 _BINARY = tuple(product((0, 1), repeat=4))
 
 
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    (
-        (b00, b01, b02, b03),
-        (b10, b11, b12, b13),
-        (b20, b21, b22, b23),
-        (b30, b31, b32, b33),
-    ) = b
-    return tuple([
-        (
-            r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30,
-            r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
-            r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32,
-            r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33,
-        )
-        for r0, r1, r2, r3 in a
-    ])
+def _flat(linear: IntMatrix) -> FlatMatrix:
+    r0, r1, r2, r3 = linear
+    return (*r0, *r1, *r2, *r3)
+
+
+def _rows(linear: FlatMatrix) -> IntMatrix:
+    return (linear[0:4], linear[4:8], linear[8:12], linear[12:16])
+
+
+def _mat_mul(a: FlatMatrix, b: FlatMatrix) -> FlatMatrix:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
+    return (
+        a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
+        a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
+        a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
+        a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
+        a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
+        a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
+        a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
+        a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
+        a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
+        a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
+        a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
+        a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
+        a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
+        a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
+        a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
+        a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
+    )
 
 
 def _image(
-    linear: IntMatrix, shift: Numerators, vector: Numerators, den: int
+    linear: FlatMatrix, shift: Numerators, vector: Numerators, den: int
 ) -> Numerators:
     """M v + t mod Z^4, with v and t given by their numerators over den."""
-    (
-        (a0, a1, a2, a3),
-        (b0, b1, b2, b3),
-        (c0, c1, c2, c3),
-        (d0, d1, d2, d3),
-    ) = linear
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = linear
     t0, t1, t2, t3 = shift
     v0, v1, v2, v3 = vector
     return (
-        (a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 + t0) % den,
-        (b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + t1) % den,
-        (c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + t2) % den,
-        (d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3 + t3) % den,
+        (m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + t0) % den,
+        (m4 * v0 + m5 * v1 + m6 * v2 + m7 * v3 + t1) % den,
+        (m8 * v0 + m9 * v1 + m10 * v2 + m11 * v3 + t2) % den,
+        (m12 * v0 + m13 * v1 + m14 * v2 + m15 * v3 + t3) % den,
     )
 
 
-def _power_sums(linear: IntMatrix) -> tuple[int, int, int, int]:
-    """(tr M, tr M^2, tr M^3, tr M^4) from the one product M^2: tr M^3 is
-    the sum of (M^2)_ij M_ji and tr M^4 that of (M^2)_ij (M^2)_ji."""
-    square = _mat_mul(linear, linear)
-    cube = fourth = 0
-    for (r0, r1, r2, r3), (c0, c1, c2, c3), (s0, s1, s2, s3) in zip(
-        square, zip(*linear), zip(*square)
-    ):
-        cube += r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3
-        fourth += r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3
+def _power_sums(linear: FlatMatrix) -> tuple[int, int, int, int]:
+    """(tr M, tr M^2, tr M^3, tr M^4) from the one product S = M^2: tr M^3
+    is the sum of S_ij M_ji and tr M^4 that of S_ij S_ji."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = linear
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = _mat_mul(
+        linear, linear
+    )
     return (
-        linear[0][0] + linear[1][1] + linear[2][2] + linear[3][3],
-        square[0][0] + square[1][1] + square[2][2] + square[3][3],
-        cube,
-        fourth,
+        m0 + m5 + m10 + m15,
+        s0 + s5 + s10 + s15,
+        s0 * m0 + s1 * m4 + s2 * m8 + s3 * m12
+        + s4 * m1 + s5 * m5 + s6 * m9 + s7 * m13
+        + s8 * m2 + s9 * m6 + s10 * m10 + s11 * m14
+        + s12 * m3 + s13 * m7 + s14 * m11 + s15 * m15,
+        s0 * s0 + s5 * s5 + s10 * s10 + s15 * s15
+        + 2 * (s1 * s4 + s2 * s8 + s3 * s12 + s6 * s9 + s7 * s13 + s11 * s14),
     )
 
 
-def _order(linear: IntMatrix, shift: Numerators, den: int) -> int:
+def _order(linear: FlatMatrix, shift: Numerators, den: int) -> int:
     """The order n of g = (M, t) of finite order, t given by its numerators
     over den, by walking its powers."""
     power, power_shift, n = linear, shift, 1
@@ -194,7 +209,7 @@ class AffineTorusMap:
 
 
 def _fixed_numerators(
-    linear: IntMatrix, shift: Numerators, den: int, p: int
+    linear: FlatMatrix, shift: Numerators, den: int, p: int
 ) -> list[Numerators]:
     """The fixed points of a validated element (M, t) of prime order p = 2
     or 3, t given by its numerators T over den, 6 times a denominator of t:
@@ -209,18 +224,12 @@ def _fixed_numerators(
     if p == 2:
         image, span = shift, _BINARY
     else:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = linear
-        b = (
-            (a0 + 2, a1, a2, a3),
-            (b0, b1 + 2, b2, b3),
-            (c0, c1, c2 + 2, c3),
-            (d0, d1, d2, d3 + 2),
-        )
+        b = tuple(x + 2 * i for x, i in zip(linear, _IDENTITY))
         image = _image(b, (0, 0, 0, 0), shift, 3 * den)
         # A column outside the span so far triples it: the span plus 0, 1 or
         # 2 times the column are disjoint cosets.
         span = [(0, 0, 0, 0)]
-        for y0, y1, y2, y3 in zip(*b):
+        for y0, y1, y2, y3 in (b[0::4], b[1::4], b[2::4], b[3::4]):
             if (y0 % 3, y1 % 3, y2 % 3, y3 % 3) not in span:
                 span = [
                     ((x0 + k * y0) % 3, (x1 + k * y1) % 3, (x2 + k * y2) % 3, (x3 + k * y3) % 3)
@@ -239,22 +248,23 @@ def _fixed_numerators(
 class TorusAction:
     """A validated finite group of affine torus automorphisms.  ``table``
     holds its elements in sorted order as pairs (M, numerators of t over
-    ``denominator``, 6 times the generators' common denominator);
-    ``orders[i]`` is the order of the i-th element."""
+    ``denominator``, 6 times the generators' common denominator), with M
+    flattened row by row to its 16 entries; ``orders[i]`` is the order of
+    the i-th element."""
 
     label: str
     generators: tuple[AffineTorusMap, ...]
-    table: tuple[tuple[IntMatrix, Numerators], ...]
+    table: tuple[tuple[FlatMatrix, Numerators], ...]
     denominator: int
     orders: tuple[int, ...]
 
     @property
     def elements(self) -> tuple[AffineTorusMap, ...]:
-        """The elements as maps with Fraction translations, built on each
-        read."""
+        """The elements as maps with 4x4 linear parts and Fraction
+        translations, built on each read."""
         den = self.denominator
         return tuple(
-            AffineTorusMap._trusted(linear, tuple(Fraction(x, den) for x in shift))
+            AffineTorusMap._trusted(_rows(linear), tuple(Fraction(x, den) for x in shift))
             for linear, shift in self.table
         )
 
@@ -271,7 +281,8 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     costs |G|*|gens| products, an element reached by a word of length k has
     entries of bit size O(k), and an infinite group is rejected after at
     most (CAP + 1)*|gens| products.  All of it runs on integer tuples over
-    6 times the generators' common denominator, the action's denominator.
+    6 times the generators' common denominator, the action's denominator,
+    with each linear part flattened once, here, to its 16 entries.
 
     Each element's order is then read off the power sums (tr M, ..., tr M^4)
     of its linear part M, taken from the one product M^2, and kept on the
@@ -296,7 +307,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
         raise ActionValidationError(f"translation denominator over {DENOMINATOR_BITS} bits")
     den *= 6
     steps = [
-        (g.linear, tuple(t.numerator * (den // t.denominator) for t in g.translation))
+        (_flat(g.linear), tuple(t.numerator * (den // t.denominator) for t in g.translation))
         for g in generators
     ]
     identity = (_IDENTITY, (0, 0, 0, 0))
@@ -313,7 +324,8 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     if len(elements) == 1:
         raise ActionValidationError("trivial group: the quotient is the torus itself")
 
-    # Numerators over one denominator sort as the fractions they stand for.
+    # Numerators over one denominator sort as the fractions they stand for,
+    # and a flat matrix as its rows do.
     ordered = sorted(elements)
     translated = any(linear == _IDENTITY and any(shift) for linear, shift in ordered)
     # Every element of the finite group has finite order, and the
@@ -363,15 +375,29 @@ _STABILIZER_CLASSES: Mapping[tuple[int, tuple[tuple[int, int], ...]], tuple[str,
 }
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """One orbit of singular points with its stabilizer data."""
+class Orbit(NamedTuple):
+    """One orbit of singular points with its stabilizer data.  Its least
+    point is kept as ``numerators`` over ``denominator``, the action's
+    denominator; ``reduced`` gives each coordinate in lowest terms."""
 
-    representative: Point
+    numerators: Numerators
+    denominator: int
     size: int
     stabilizer_order: int
     stabilizer_class: str
     du_val: DuValType
+
+    @property
+    def representative(self) -> Point:
+        """The least point as Fractions, built on each read."""
+        den = self.denominator
+        return tuple(Fraction(x, den) for x in self.numerators)
+
+
+def reduced(numerators: Numerators, den: int) -> list[tuple[int, int]]:
+    """Each coordinate x / den of a point, 0 <= x < den, as its numerator
+    and denominator in lowest terms, as a Fraction would hold them."""
+    return [(x // (g := gcd(x, den)), den // g) for x in numerators]
 
 
 @dataclass(frozen=True)
@@ -394,8 +420,7 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
     An element of order p has its fixed points in closed form, as
     numerators over the action's denominator (see ``_fixed_numerators``),
     which the translations are given over too.  So orbits, stabilizers and
-    representatives are found on integer tuples, and a Fraction is built
-    only for each representative."""
+    representatives are found and kept on integer tuples."""
     den = action.denominator
     points = set()
     inverses = set()
@@ -404,10 +429,14 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
             points.update(_fixed_numerators(linear, shift, den, n))
             inverses.add((_mat_mul(linear, linear), _image(linear, shift, shift, den)))
 
-    # The orbits in the order of their least points.
+    # The orbits in the order of their least points.  An image of a point
+    # fixed by g is fixed by a conjugate of g, so each orbit lies in points,
+    # and a point of the one sorted pass not yet in an orbit is the least
+    # point of its own.
     orbits: list[Orbit] = []
-    while points:
-        point = min(points)
+    for point in sorted(points):
+        if point not in points:
+            continue
         images = [_image(linear, shift, point, den) for linear, shift in action.table]
         orbit = set(images)
         points -= orbit
@@ -421,15 +450,7 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
         if key not in _STABILIZER_CLASSES:
             raise ActionValidationError(f"unrecognized stabilizer {key}")
         name, du_val = _STABILIZER_CLASSES[key]
-        orbits.append(
-            Orbit(
-                representative=tuple(Fraction(x, den) for x in min(orbit)),
-                size=len(orbit),
-                stabilizer_order=len(stabilizer),
-                stabilizer_class=name,
-                du_val=du_val,
-            )
-        )
+        orbits.append(Orbit(point, den, len(orbit), len(stabilizer), name, du_val))
     multiset = DuValMultiset(tuple((orbit.du_val, 1) for orbit in orbits))
     return QuotientReport(
         label=action.label,

@@ -12,6 +12,9 @@ is exact, because s and the right-hand side of row i carry h: every
 coordinate solved before it is a multiple of the pivots above its row.
 ``solve_congruence_numerators`` returns those numerators with s and
 builds no Fraction.
+
+The torus module keeps a linear part as its 16 entries row by row;
+``rows`` rebuilds its rows for the solver and for the tests' loops.
 """
 
 from fractions import Fraction
@@ -26,6 +29,11 @@ class NoSolutionError(ValueError):
 
 class InfiniteSolutionsError(ValueError):
     """The congruence system has a positive-dimensional solution set."""
+
+
+def rows(linear: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rows of a 4x4 matrix given by its 16 entries row by row."""
+    return tuple(tuple(linear[i : i + 4]) for i in range(0, 16, 4))
 
 
 def _as_matrix(a: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -40,7 +40,7 @@ from cytk.torusq import (
 from cytk.wps import CyclicQuotientType, WeightSystem
 
 from conftest import SAMPLE_LINES
-from congruence_reference import determinant, solve_congruence_numerators
+from congruence_reference import determinant, rows, solve_congruence_numerators
 
 
 def report(criterion: str, detail: str) -> None:
@@ -141,7 +141,7 @@ def test_criterion_4_torus_quotients():
         assert orbifold_c2(report_data.multiset) == 0
         for (linear, shift), n in zip(action.table, action.orders):
             if n > 1:
-                count = fixed_point_count(linear, shift, action.denominator)
+                count = fixed_point_count(rows(linear), shift, action.denominator)
                 assert count == EXPECTED_FIXED_POINTS[n]
     report(
         "criterion 4 (torus quotients)",

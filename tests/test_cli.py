@@ -660,6 +660,28 @@ class TestTorusQuotient:
         assert "error" in err
 
     @pytest.mark.parametrize(
+        "kind, shown",
+        [
+            ("missing", "No such file or directory"),
+            ("directory", "Is a directory"),
+            ("not-utf8", "0xff"),
+        ],
+    )
+    def test_unreadable_file_is_io_error(self, capsys, tmp_path, kind, shown):
+        # An action file that cannot be read exits 1, as census input does,
+        # not 3, which is kept for actions that are read and refused.
+        path = tmp_path / "action.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"label": "\xff", "generators": []}')
+        for form in ([], ["--json"]):
+            code, out, err = run_cli(capsys, "torus-quotient", "--file", str(path), *form)
+            assert (code, out) == (cli.EXIT_IO, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert shown in err
+
+    @pytest.mark.parametrize(
         "document",
         [
             [],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk.cli import _quotient_json
+from cytk.cli import _quotient_json, _quotient_text
 from cytk.surface import DuValMultiset, orbifold_c2
 from cytk.torusq import (
     _L8_A,
@@ -26,7 +26,9 @@ from cytk.torusq import (
     _block_diag,
     _determinant,
     _fixed_numerators,
+    _image,
     _linear,
+    _mat_mul,
     _order,
     _power_sums,
     _translation_entry,
@@ -40,12 +42,14 @@ from cytk.torusq import (
     close_group,
     load_action,
     quotient_singularities,
+    reduced,
 )
 
 from congruence_reference import (
     InfiniteSolutionsError,
     NoSolutionError,
     determinant,
+    rows,
     solve_congruence_numerators,
 )
 
@@ -151,8 +155,9 @@ class TestAffineTorusMap:
 
     def test_order(self):
         def order_of(linear, shift=(0, 0, 0, 0), den=1):
-            """The order of (M, t), t given by its numerators over den."""
-            return _order(linear, shift, den)
+            """The order of (M, t), M given by its rows and t by its
+            numerators over den."""
+            return _order(sum(linear, ()), shift, den)
 
         assert order_of(NEG_ID) == 2
         assert order_of(ID4) == 1
@@ -720,16 +725,69 @@ class TestClosedForms:
             "547da1ead2d8aeedda0a5a0dd5b983b42bfac7a125a8e3716d31bc4cd19fdb38"
         )
 
+    def test_text_replies_are_pinned(self):
+        # The text replies of all 60 actions, pinned byte for byte: each
+        # coordinate of a representative prints as "p/q", or "p" for q = 1.
+        replies = hashlib.sha256()
+        for action in actions_and_conjugates():
+            report = quotient_singularities(action)
+            replies.update(_quotient_text(report, orbifold_c2(report.multiset)).encode())
+        assert replies.hexdigest() == (
+            "606bb594a016b75d666129bc61f9c4d348f3805d05b7994a46111a1896ddbc34"
+        )
+
+    def test_reduced_coordinates_are_the_representatives(self):
+        for action in actions_and_conjugates():
+            for orbit in quotient_singularities(action).orbits:
+                assert orbit.denominator == action.denominator
+                assert reduced(orbit.numerators, orbit.denominator) == [
+                    (x.numerator, x.denominator) for x in orbit.representative
+                ]
+
     def test_orders_from_power_sums_match_the_walk(self):
         for action in actions_and_conjugates():
             den = action.denominator
             for (linear, shift), n in zip(action.table, action.orders):
                 assert n == _order(linear, shift, den)
-                square = _mul4(linear, linear)
-                traces = [sum(m[i][i] for i in range(4)) for m in (
-                    linear, square, _mul4(square, linear), _mul4(square, square)
+                m = rows(linear)
+                square = _mul4(m, m)
+                traces = [sum(p[i][i] for i in range(4)) for p in (
+                    m, square, _mul4(square, m), _mul4(square, square)
                 )]
                 assert _power_sums(linear) == tuple(traces) == _CANONICAL_POWER_SUMS[n]
+
+    def test_flat_products_match_nested_loops(self):
+        # The written-out 16-term expressions on flat matrices against
+        # plain loops over rows, on wide and negative entries.
+        rng = random.Random(1616)
+        for bits in (2, 5, 70, 300):
+            for _ in range(200):
+                a, b = (
+                    tuple(rng.randrange(-(1 << bits), 1 << bits) for _ in range(16))
+                    for _ in range(2)
+                )
+                ra, rb = rows(a), rows(b)
+                product = [[0] * 4 for _ in range(4)]
+                for i in range(4):
+                    for j in range(4):
+                        for k in range(4):
+                            product[i][j] += ra[i][k] * rb[k][j]
+                assert rows(_mat_mul(a, b)) == tuple(map(tuple, product))
+
+                den = rng.randrange(1, 1 << bits)
+                shift = [rng.randrange(-den, den) for _ in range(4)]
+                vector = [rng.randrange(-den, den) for _ in range(4)]
+                image = list(shift)
+                for i in range(4):
+                    for k in range(4):
+                        image[i] += ra[i][k] * vector[k]
+                assert _image(a, shift, vector, den) == tuple(x % den for x in image)
+
+                traces, power = [], ra
+                for _ in range(4):
+                    traces.append(sum(power[i][i] for i in range(4)))
+                    power = _mul4(power, ra)
+                assert _power_sums(a) == tuple(traces)
 
     def test_determinant_matches_bareiss(self):
         rng = random.Random(44)
