@@ -8,11 +8,16 @@ the correspondence between the two halves of the published classification.
 This module is the one owner of that format: ``census_lines`` reads it
 and ``format_record`` writes it.  Failures are listed in line order, and a
 record failing both predicates is "not quasismooth" before "not wellformed".
+
+The module also owns the layout of every JSON document cytk writes:
+``json_template`` derives each fixed shape from ``json.dumps`` once, at
+import, and ``json_array`` lays out arrays of varying length.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import re
 import sys
 from dataclasses import dataclass
@@ -214,39 +219,44 @@ def json_array(items: Sequence[str], indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-_RECORD = """{
-      "calabi_yau": %s,
-      "contains_no_edge": %s,
-      "degree": %d,
-      "line": %d,
-      "origin": %s,
-      "quasismooth": %s,
-      "singular_curve_types": %s,
-      "smooth_in_codim2": %s,
-      "weights": [
-        %d,
-        %d,
-        %d,
-        %d,
-        %d
-      ],
-      "wellformed": %s
-    }"""
+def json_template(skeleton: object, indent: str = "") -> str:
+    """The %-template of a JSON document shaped as ``skeleton``, for one
+    that opens on a line indented by ``indent``: ``json.dumps(skeleton,
+    sort_keys=True, indent=2)`` with each value ``"%s"`` or ``"%d"`` left
+    bare as a placeholder, and every line after the first indented by
+    ``indent``.  A ``%`` inside any other string, such as ``"%d/%d"``, is
+    a placeholder too, so no key holds one."""
+    text = json.dumps(skeleton, sort_keys=True, indent=2)
+    text = text.replace('"%s"', "%s").replace('"%d"', "%d")
+    return text.replace("\n", "\n" + indent)
 
-_FAILURE = """{
-        "line": %d,
-        "reason": %s
-      }"""
 
-_SUMMARY = """,
-  "summary": {
-    "failures": %s,
-    "not_smooth_codim2": %d,
-    "not_smooth_codim2_and_no_edge": %d,
-    "total": %d
-  }
-}
-"""
+_RECORD = json_template({
+    "calabi_yau": "%s",
+    "contains_no_edge": "%s",
+    "degree": "%d",
+    "line": "%d",
+    "origin": "%s",
+    "quasismooth": "%s",
+    "singular_curve_types": "%s",
+    "smooth_in_codim2": "%s",
+    "weights": ["%d"] * 5,
+    "wellformed": "%s",
+}, "    ")
+
+_FAILURE = json_template({"line": "%d", "reason": "%s"}, "      ")
+
+# The document around its records: the head up to the records array, and
+# the tail from after it, with the summary to fill in.
+_HEAD, _SUMMARY = (json_template({
+    "records": "%s",
+    "summary": {
+        "failures": "%s",
+        "not_smooth_codim2": "%d",
+        "not_smooth_codim2_and_no_edge": "%d",
+        "total": "%d",
+    },
+}) + "\n").split("%s", 1)
 
 
 def write_json(
@@ -261,7 +271,7 @@ def write_json(
     ``indent`` would send the whole document through the pure-Python
     encoder.
     """
-    out.write('{\n  "records": ')
+    out.write(_HEAD)
     separator = "[\n    "
     for v in verdicts:
         out.write(separator)

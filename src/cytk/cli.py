@@ -16,8 +16,9 @@ top-level parser, which gives every usage and error text.
 Rationals are serialized as "num/den" strings so that JSON output stays
 exact.  Each ``--json`` reply is exactly ``json.dumps(document,
 sort_keys=True, indent=2)`` plus a newline, so parsing and re-serializing
-is byte-identical.  It is filled into a fixed template with its keys in
-sorted order, as ``census.write_json`` writes its records: booleans through
+is byte-identical.  It is filled into templates that ``census.json_template``
+derives from ``json.dumps`` when the module is imported, as
+``census.write_json`` writes its records: booleans through
 ``census.BOOL_TEXT``, integers through ``%d``, strings through the stdlib's
 C escaper ``encode_basestring_ascii`` and arrays of varying length through
 ``census.json_array``.
@@ -32,7 +33,8 @@ limit, so that no usage error echoes a long token whole.
 
 ``census -`` opens stdin's descriptor as it opens a file, in UTF-8 with
 universal newlines, so a byte that is not UTF-8 is an I/O error whatever
-the locale, as is a closed stdin.
+the locale, as is a closed stdin.  A closed stdout is an I/O error for
+every subcommand, before any work.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Optional, Sequence
 from cytk import census as census_mod
 from cytk import hypersurface
 from cytk.arith import INTEGER_BITS
-from cytk.census import BOOL_TEXT, DIGITS, json_array
+from cytk.census import BOOL_TEXT, DIGITS, json_array, json_template
 from cytk.wps import WeightSystem
 
 DATABASE_ENV = "CYTK_DATABASE"
@@ -70,62 +72,30 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-_ANALYZE = """{
-  "c2_lower_bound": %s,
-  "calabi_yau": %s,
-  "contained_edges": %s,
-  "contains_no_edge": %s,
-  "degree": %d,
-  "edge_point_loci": %s,
-  "quasismooth": %s,
-  "singular_curves": %s,
-  "singular_vertices": %s,
-  "smooth_in_codim2": %s,
-  "weights": [
-    %d,
-    %d,
-    %d,
-    %d,
-    %d
-  ],
-  "wellformed": %s
-}
-"""
+_ANALYZE = json_template({
+    "c2_lower_bound": "%s",
+    "calabi_yau": "%s",
+    "contained_edges": "%s",
+    "contains_no_edge": "%s",
+    "degree": "%d",
+    "edge_point_loci": "%s",
+    "quasismooth": "%s",
+    "singular_curves": "%s",
+    "singular_vertices": "%s",
+    "smooth_in_codim2": "%s",
+    "weights": ["%d"] * 5,
+    "wellformed": "%s",
+}) + "\n"
 
-_BOUND = """{
-    "positive": %s,
-    "value": "%d/%d"
-  }"""
+_BOUND = json_template({"positive": "%s", "value": "%d/%d"}, "  ")
 
-_EDGE = """{
-      "free_weights": [
-        %d,
-        %d
-      ],
-      "singular": %s,
-      "zeroed": [
-        %d,
-        %d,
-        %d
-      ]
-    }"""
+_EDGE = json_template(
+    {"free_weights": ["%d"] * 2, "singular": "%s", "zeroed": ["%d"] * 3}, "    "
+)
 
-_POINT_LOCUS = """{
-      "order": %d,
-      "zeroed": [
-        %d,
-        %d,
-        %d
-      ]
-    }"""
+_POINT_LOCUS = json_template({"order": "%d", "zeroed": ["%d"] * 3}, "    ")
 
-_CURVE = """{
-      "type": %s,
-      "zeroed": [
-        %d,
-        %d
-      ]
-    }"""
+_CURVE = json_template({"type": "%s", "zeroed": ["%d"] * 2}, "    ")
 
 
 def _bool_word(flag: bool) -> str:
@@ -256,30 +226,20 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SURFACE = """{
-  "classification": %s,
-  "conditional": %s,
-  "gate": %s,
-  "multiset": %s,
-  "orbifold_c2": "%d/%d",
-  "sum_k": %d
-}
-"""
+_SURFACE = json_template({
+    "classification": "%s",
+    "conditional": "%s",
+    "gate": "%s",
+    "multiset": "%s",
+    "orbifold_c2": "%d/%d",
+    "sum_k": "%d",
+}) + "\n"
 
-_VERDICT = """{
-    "verdict": %s
-  }"""
+_VERDICT = json_template({"verdict": "%s"}, "  ")
 
-_REALIZED = """{
-    "entry": %d,
-    "label": %s,
-    "verdict": %s
-  }"""
+_REALIZED = json_template({"entry": "%d", "label": "%s", "verdict": "%s"}, "  ")
 
-_EXCLUDED = """{
-    "reason": %s,
-    "verdict": "excluded"
-  }"""
+_EXCLUDED = json_template({"reason": "%s", "verdict": "excluded"}, "  ")
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
@@ -333,11 +293,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_ENUMERATE = """{
-  "count": %d,
-  "multisets": %s
-}
-"""
+_ENUMERATE = json_template({"count": "%d", "multisets": "%s"}) + "\n"
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -354,27 +310,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_QUOTIENT = """{
-  "group_order": %d,
-  "label": %s,
-  "multiset": %s,
-  "orbifold_c2": "%d/%d",
-  "orbits": %s
-}
-"""
+_QUOTIENT = json_template({
+    "group_order": "%d",
+    "label": "%s",
+    "multiset": "%s",
+    "orbifold_c2": "%d/%d",
+    "orbits": "%s",
+}) + "\n"
 
-_ORBIT = """{
-      "du_val": %s,
-      "representative": [
-        "%d/%d",
-        "%d/%d",
-        "%d/%d",
-        "%d/%d"
-      ],
-      "size": %d,
-      "stabilizer": %s,
-      "stabilizer_order": %d
-    }"""
+_ORBIT = json_template({
+    "du_val": "%s",
+    "representative": ["%d/%d"] * 4,
+    "size": "%d",
+    "stabilizer": "%s",
+    "stabilizer_order": "%d",
+}, "    ")
+
+_BUILTINS = json_template({"builtins": "%s"}) + "\n"
+
+_BUILTIN = json_template({"multiset": "%s", "name": "%s"}, "    ")
 
 
 def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> str:
@@ -461,8 +415,17 @@ def _cmd_torus(args: argparse.Namespace) -> int:
     from cytk import surface, torusq
 
     if args.list_builtins:
-        for action_name, expected in torusq.BUILTIN_EXPECTED.items():
-            print(f"{action_name:15s} {expected}")
+        builtins = torusq.BUILTIN_EXPECTED.items()
+        if args.json:
+            listed = [
+                _BUILTIN
+                % (encode_basestring_ascii(str(multiset)), encode_basestring_ascii(name))
+                for name, multiset in builtins
+            ]
+            sys.stdout.write(_BUILTINS % json_array(listed, "  "))
+        else:
+            for name, multiset in builtins:
+                print(f"{name:15s} {multiset}")
         return EXIT_OK
     try:
         if args.builtin:
@@ -590,6 +553,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    if sys.stdout is None:  # started with its descriptor 1 closed
+        print("error: stdout is closed", file=sys.stderr)
+        return EXIT_IO
     return args.handler(args)
 
 

@@ -1,16 +1,22 @@
 import hashlib
 import io
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cytk.census import (
+    BOOL_TEXT,
     N3,
     N4,
     CensusSummary,
     census_lines,
     format_record,
+    json_array,
+    json_template,
     write_csv,
     write_json,
 )
@@ -328,6 +334,71 @@ class TestWriteJson:
         assert json.loads(text)["summary"]["failures"][0]["reason"] == (
             'say "no"\\ then\tstop: \u00e9'
         )
+
+
+# Strings that need escaping, or that hold a placeholder's "%", among others.
+TEXTS = st.text(
+    st.one_of(st.sampled_from('%sd"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters())
+)
+# A key holds no "%": json_template reads every "%" as a placeholder.
+KEYS = st.text(st.characters(blacklist_characters="%"), max_size=6)
+LIMIT = 10**4300 - 1  # the widest int that prints within the digit limit
+INTEGERS = st.one_of(st.integers(-1000, 1000), st.integers(-LIMIT, LIMIT))
+
+
+@st.composite
+def filled(draw, indent, depth):
+    """(skeleton, document, fills) of a random JSON value that opens on a
+    line indented by ``indent``: the document with each value a placeholder,
+    the document, and the placeholders' fills in the order ``json.dumps``
+    writes them with sorted keys.  An array of varying length is one "%s",
+    filled by ``json_array`` with items laid out by ``json_template``."""
+    kinds = ["text", "int", "bool", "ratio", "constant"]
+    kind = draw(st.sampled_from(kinds + ["object", "fixed", "varying"] * (depth > 0)))
+    inner = indent + "  "
+    if kind == "text":
+        value = draw(TEXTS)
+        return "%s", value, [encode_basestring_ascii(value)]
+    if kind == "int":
+        value = draw(INTEGERS)
+        return "%d", value, [value]
+    if kind == "bool":
+        value = draw(st.booleans())
+        return "%s", value, [BOOL_TEXT[value]]
+    if kind == "ratio":
+        p, q = draw(INTEGERS), draw(INTEGERS)
+        return "%d/%d", f"{p}/{q}", [p, q]
+    if kind == "constant":
+        value = draw(KEYS)
+        return value, value, []
+    if kind == "object":
+        keys = draw(st.lists(KEYS, unique=True, max_size=4))
+        children = {key: draw(filled(inner, depth - 1)) for key in keys}
+        skeleton = {key: child[0] for key, child in children.items()}
+        document = {key: child[1] for key, child in children.items()}
+        fills = [fill for key in sorted(keys) for fill in children[key][2]]
+        return skeleton, document, fills
+    children = draw(st.lists(filled(inner, depth - 1), max_size=4))
+    document = [child[1] for child in children]
+    if kind == "fixed":
+        fills = [fill for child in children for fill in child[2]]
+        return [child[0] for child in children], document, fills
+    items = [json_template(skeleton, inner) % tuple(fills) for skeleton, _, fills in children]
+    return "%s", document, [json_array(items, indent)]
+
+
+class TestJsonLayout:
+    """json_template and json_array, filled as cytk fills them, give the
+    text of json.dumps(..., sort_keys=True, indent=2), for values the
+    goldens do not hold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_filled_template_is_the_stdlib_layout(self, data):
+        indent = " " * data.draw(st.integers(0, 6))
+        skeleton, document, fills = data.draw(filled(indent, 3))
+        expected = json.dumps(document, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+        assert json_template(skeleton, indent) % tuple(fills) == expected
 
 
 class TestMixedList:

@@ -387,14 +387,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("argv", [["census", "-"], ["census"]], ids=["dash", "bare"])
     def test_closed_stdin_is_io_error(self, argv):
-        env = {key: value for key, value in os.environ.items() if key != "CYTK_DATABASE"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            ["sh", "-c", 'exec "$0" -m cytk "$@" <&-', sys.executable, *argv],
-            capture_output=True,
-            env=env,
-            timeout=60,
-        )
+        result = run_with_closed("<&-", argv)
         assert (result.returncode, result.stdout) == (cli.EXIT_IO, b"")
         assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
         assert b"Traceback" not in result.stderr
@@ -425,6 +418,40 @@ class TestCensus:
         assert (code, out) == (cli.EXIT_IO, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not target.parent.exists()
+
+
+def run_with_closed(redirect: str, argv) -> subprocess.CompletedProcess:
+    """Run ``python -m cytk`` with a standard descriptor closed by the shell
+    redirection ``redirect``, and no ``CYTK_DATABASE``."""
+    env = {key: value for key, value in os.environ.items() if key != "CYTK_DATABASE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" -m cytk "$@" {redirect}', sys.executable, *argv],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "5", "1", "1", "1", "1", "1"],
+        ["analyze", "5", "1", "1", "1", "1", "1", "--json"],
+        ["census", str(CENSUS_DATA / "mixed.txt")],
+        ["surface", "A1"],
+        ["surface", "A1", "--json"],
+        ["enumerate-zero-c2", "--json"],
+        ["torus-quotient", "--builtin", "kummer"],
+        ["torus-quotient", "--list-builtins", "--json"],
+    ],
+    ids=lambda argv: " ".join(Path(arg).name for arg in argv),
+)
+def test_closed_stdout_is_io_error(argv):
+    # Text and JSON forms both: with descriptor 1 closed, sys.stdout is
+    # None, which print() ignores and sys.stdout.write fails on.
+    result = run_with_closed(">&-", argv)
+    assert (result.returncode, result.stderr) == (cli.EXIT_IO, b"error: stdout is closed\n")
 
 
 def run_in_c_locale(argv, stdin: bytes) -> subprocess.CompletedProcess:
@@ -1025,6 +1052,13 @@ class TestJsonEmitter:
             (["surface", "5A4"], lambda d: d["gate"]["verdict"] == "excluded"),
             (["surface", "A1"], lambda d: d["conditional"]),
             (["enumerate-zero-c2"], lambda d: d["count"] == len(d["multisets"]) == 35),
+            (
+                ["torus-quotient", "--list-builtins"],
+                lambda d: d["builtins"] == [
+                    {"multiset": str(multiset), "name": name}
+                    for name, multiset in torusq.BUILTIN_EXPECTED.items()
+                ],
+            ),
             (
                 ["analyze", "1734", "91", "96", "102", "578", "867"],
                 lambda d: len(d["edge_point_loci"]) == 6 and d["singular_vertices"],
