@@ -34,7 +34,9 @@ limit, so that no usage error echoes a long token whole.
 ``census -`` opens stdin's descriptor as it opens a file, in UTF-8 with
 universal newlines, so a byte that is not UTF-8 is an I/O error whatever
 the locale, as is a closed stdin.  A closed stdout is an I/O error for
-every subcommand, before any work.
+every subcommand, before any work, and so is a write to stdout that fails,
+such as on a full device: ``main`` flushes stdout before it returns and
+answers a failed write with one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -332,13 +334,11 @@ _BUILTIN = json_template({"multiset": "%s", "name": "%s"}, "    ")
 
 
 def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> str:
-    from cytk.torusq import reduced
-
     orbits = [
         _ORBIT
         % (
             encode_basestring_ascii(str(orbit.du_val)),
-            *chain.from_iterable(reduced(orbit.numerators, orbit.denominator)),
+            *chain.from_iterable(orbit.coordinates),
             orbit.size,
             encode_basestring_ascii(orbit.stabilizer_class),
             orbit.stabilizer_order,
@@ -358,14 +358,9 @@ def _quotient_json(report: torusq.QuotientReport, c2: Fraction) -> str:
 def _quotient_text(report: torusq.QuotientReport, c2: Fraction) -> str:
     """The text reply: each coordinate of a representative as "p/q", or as
     "p" when q is 1, as a Fraction prints."""
-    from cytk.torusq import reduced
-
     lines = [f"action {report.label or '(unnamed)'}: group of order {report.group_order}"]
     for orbit in report.orbits:
-        rep = ", ".join(
-            f"{n}/{d}" if d != 1 else str(n)
-            for n, d in reduced(orbit.numerators, orbit.denominator)
-        )
+        rep = ", ".join(f"{n}/{d}" if d != 1 else str(n) for n, d in orbit.coordinates)
         lines.append(
             f"  orbit of size {orbit.size:2d} at ({rep}): stabilizer "
             f"{orbit.stabilizer_class} (order {orbit.stabilizer_order}) -> {orbit.du_val}"
@@ -556,7 +551,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if sys.stdout is None:  # started with its descriptor 1 closed
         print("error: stdout is closed", file=sys.stderr)
         return EXIT_IO
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a write that fails does so here, not at exit
+    except OSError as exc:
+        # Each handler answers for the files it opens, so a write to stdout
+        # failed, as on a full device.  What stays buffered is sent to the
+        # null device, where the interpreter's flush at exit cannot fail.
+        print(f"error: {exc}", file=sys.stderr)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -8,20 +8,20 @@ no non-trivial translations, at most one involution, and linear parts whose
 characteristic polynomial is the realification of an SL(2,C) element of the
 right order.  The complex structure itself is never represented.
 
-Generators are read as pairs of an integer matrix and a tuple of Fraction.
-An action works over one denominator, 6 * D for D the lcm of its
-generators' translation denominators: an integral M maps (1/(6 D)) Z^4 into
-itself, so every element is a pair (M, numerators of t over 6 * D) of
-integer tuples, with M flattened row by row to 16 entries, on which each
-4x4 product and each image is one written-out expression.  The closure,
-the element orders, the fixed points and the orbits run on those tuples
-only, and each uses what validation fixes: an element's order is read off
-the power sums of its linear part, and an element of prime order p = 2 or
-3 has its fixed points in closed form, with denominators dividing p * D and
-so 6 * D.  An orbit keeps its least point as numerators over 6 * D, which
-``reduced`` gives as reduced numerators and denominators for printing; a
-Fraction is built only where ``Orbit.representative`` or
-``TorusAction.elements`` is read.
+Generators are read as pairs of an integer matrix and a tuple of Fraction,
+the only Fractions the module holds.  An action works over one
+denominator, 6 * D for D the lcm of its generators' translation
+denominators: an integral M maps (1/(6 D)) Z^4 into itself, so every
+element is a pair (M, numerators of t over 6 * D) of integer tuples, with
+M flattened row by row to 16 entries, on which each 4x4 product and each
+image is one written-out expression.  Those pairs, ``TorusAction.elements``,
+are the group's one form.  The closure, the element orders, the fixed
+points and the orbits run on them only, and each uses what validation
+fixes: an element's order is read off the power sums of its linear part,
+and an element of prime order p = 2 or 3 has its fixed points in closed
+form, with denominators dividing p * D and so 6 * D.  An orbit's least
+point is found as numerators over 6 * D and kept as ``Orbit.coordinates``,
+each coordinate reduced once to its lowest terms.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ _BINARY = tuple(product((0, 1), repeat=4))
 def _flat(linear: IntMatrix) -> FlatMatrix:
     r0, r1, r2, r3 = linear
     return (*r0, *r1, *r2, *r3)
-
-
-def _rows(linear: FlatMatrix) -> IntMatrix:
-    return (linear[0:4], linear[4:8], linear[8:12], linear[12:16])
 
 
 def _mat_mul(a: FlatMatrix, b: FlatMatrix) -> FlatMatrix:
@@ -176,7 +172,7 @@ def _determinant(linear: IntMatrix) -> int:
 class AffineTorusMap:
     """A generator x -> M x + t of the torus R^4 / Z^4 as read, with M
     integral of determinant +-1 and t taken mod Z^4.  Groups are closed
-    and solved on the integer pairs of ``TorusAction.table``."""
+    and solved on the integer pairs of ``TorusAction.elements``."""
 
     linear: IntMatrix
     translation: Point
@@ -197,15 +193,6 @@ class AffineTorusMap:
             raise ValueError("translation must have 4 coordinates")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "translation", translation)
-
-    @classmethod
-    def _trusted(cls, linear: IntMatrix, translation: Point) -> "AffineTorusMap":
-        """A map from parts known to be valid: a 4x4 int matrix of
-        determinant +-1 and a translation already reduced mod Z^4."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "linear", linear)
-        object.__setattr__(g, "translation", translation)
-        return g
 
 
 def _fixed_numerators(
@@ -246,31 +233,22 @@ def _fixed_numerators(
 
 @dataclass(frozen=True)
 class TorusAction:
-    """A validated finite group of affine torus automorphisms.  ``table``
-    holds its elements in sorted order as pairs (M, numerators of t over
-    ``denominator``, 6 times the generators' common denominator), with M
-    flattened row by row to its 16 entries; ``orders[i]`` is the order of
-    the i-th element."""
+    """A validated finite group of affine torus automorphisms.
+    ``elements`` holds its elements in sorted order as pairs (M, T): M is
+    the linear part flattened row by row to its 16 entries, and T the
+    translation's numerators over ``denominator``, 6 times the generators'
+    common denominator, each in [0, denominator).  ``orders[i]`` is the
+    order of the i-th element."""
 
     label: str
     generators: tuple[AffineTorusMap, ...]
-    table: tuple[tuple[FlatMatrix, Numerators], ...]
+    elements: tuple[tuple[FlatMatrix, Numerators], ...]
     denominator: int
     orders: tuple[int, ...]
 
     @property
-    def elements(self) -> tuple[AffineTorusMap, ...]:
-        """The elements as maps with 4x4 linear parts and Fraction
-        translations, built on each read."""
-        den = self.denominator
-        return tuple(
-            AffineTorusMap._trusted(_rows(linear), tuple(Fraction(x, den) for x in shift))
-            for linear, shift in self.table
-        )
-
-    @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self.elements)
 
 
 def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusAction:
@@ -356,7 +334,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     return TorusAction(
         label=label,
         generators=generators,
-        table=tuple(ordered),
+        elements=tuple(ordered),
         denominator=den,
         orders=tuple(orders),
     )
@@ -377,27 +355,14 @@ _STABILIZER_CLASSES: Mapping[tuple[int, tuple[tuple[int, int], ...]], tuple[str,
 
 class Orbit(NamedTuple):
     """One orbit of singular points with its stabilizer data.  Its least
-    point is kept as ``numerators`` over ``denominator``, the action's
-    denominator; ``reduced`` gives each coordinate in lowest terms."""
+    point is ``coordinates``: each coordinate x in [0, 1) as the pair
+    (numerator, denominator) in lowest terms, as a Fraction holds it."""
 
-    numerators: Numerators
-    denominator: int
+    coordinates: tuple[tuple[int, int], ...]
     size: int
     stabilizer_order: int
     stabilizer_class: str
     du_val: DuValType
-
-    @property
-    def representative(self) -> Point:
-        """The least point as Fractions, built on each read."""
-        den = self.denominator
-        return tuple(Fraction(x, den) for x in self.numerators)
-
-
-def reduced(numerators: Numerators, den: int) -> list[tuple[int, int]]:
-    """Each coordinate x / den of a point, 0 <= x < den, as its numerator
-    and denominator in lowest terms, as a Fraction would hold them."""
-    return [(x // (g := gcd(x, den)), den // g) for x in numerators]
 
 
 @dataclass(frozen=True)
@@ -419,12 +384,13 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
 
     An element of order p has its fixed points in closed form, as
     numerators over the action's denominator (see ``_fixed_numerators``),
-    which the translations are given over too.  So orbits, stabilizers and
-    representatives are found and kept on integer tuples."""
+    which the translations are given over too.  So orbits and stabilizers
+    are found on integer tuples, and each orbit's least point is reduced
+    to lowest terms once, as it is kept."""
     den = action.denominator
     points = set()
     inverses = set()
-    for (linear, shift), n in zip(action.table, action.orders):
+    for (linear, shift), n in zip(action.elements, action.orders):
         if n in (2, 3) and (linear, shift) not in inverses:
             points.update(_fixed_numerators(linear, shift, den, n))
             inverses.add((_mat_mul(linear, linear), _image(linear, shift, shift, den)))
@@ -437,7 +403,7 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
     for point in sorted(points):
         if point not in points:
             continue
-        images = [_image(linear, shift, point, den) for linear, shift in action.table]
+        images = [_image(linear, shift, point, den) for linear, shift in action.elements]
         orbit = set(images)
         points -= orbit
         stabilizer = [n for image, n in zip(images, action.orders) if image == point]
@@ -450,7 +416,8 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
         if key not in _STABILIZER_CLASSES:
             raise ActionValidationError(f"unrecognized stabilizer {key}")
         name, du_val = _STABILIZER_CLASSES[key]
-        orbits.append(Orbit(point, den, len(orbit), len(stabilizer), name, du_val))
+        coordinates = tuple((x // (g := gcd(x, den)), den // g) for x in point)
+        orbits.append(Orbit(coordinates, len(orbit), len(stabilizer), name, du_val))
     multiset = DuValMultiset(tuple((orbit.du_val, 1) for orbit in orbits))
     return QuotientReport(
         label=action.label,
@@ -576,6 +543,16 @@ def _shown(value: object) -> str:
     return f"{_JSON_TYPES.get(type(value), 'number')} {text[:40]}..."
 
 
+def _json_member(value: object, key: str, what: str) -> object:
+    """A member of a part of the description that JSON must give as an
+    object: a list or a string is not indexed by the key."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} {_shown(value)} is not an object")
+    if key not in value:
+        raise ValueError(f'{what} has no "{key}" member')
+    return value[key]
+
+
 def _json_list(value: object, what: str) -> list:
     """A part of the description that JSON must give as an array: a string
     is not read character by character, nor an object by its keys."""
@@ -622,24 +599,32 @@ def action_from_json(data: dict) -> TorusAction:
         label = data.get("label", "")
         if not isinstance(label, str):
             raise TypeError(f"label must be a string, got {_shown(label)}")
+        try:
+            label.encode()  # JSON can give a lone surrogate, which no reply can print
+        except UnicodeEncodeError:
+            raise ValueError(f"label {_shown(label)} is not encodable as UTF-8") from None
         generators = [
             AffineTorusMap(
                 tuple(
                     tuple(_linear_entry(x) for x in _json_list(row, "linear row"))
-                    for row in _json_list(entry["linear"], "linear part")
+                    for row in _json_list(
+                        _json_member(entry, "linear", "generator"), "linear part"
+                    )
                 ),
                 tuple(
                     _translation_entry(t)
-                    for t in _json_list(entry["translation"], "translation")
+                    for t in _json_list(
+                        _json_member(entry, "translation", "generator"), "translation"
+                    )
                 ),
             )
-            for entry in _json_list(data["generators"], "generators")
+            for entry in _json_list(_json_member(data, "generators", "action"), "generators")
         ]
     except ZeroDivisionError as exc:
         raise ActionValidationError(
             "malformed action description: zero denominator in a translation"
         ) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ActionValidationError(f"malformed action description: {exc}") from exc
     return close_group(generators, label=label)
 

@@ -139,7 +139,7 @@ def test_criterion_4_torus_quotients():
         report_data = quotient_singularities(action)
         assert report_data.multiset == BUILTIN_EXPECTED[action.label]
         assert orbifold_c2(report_data.multiset) == 0
-        for (linear, shift), n in zip(action.table, action.orders):
+        for (linear, shift), n in zip(action.elements, action.orders):
             if n > 1:
                 count = fixed_point_count(rows(linear), shift, action.denominator)
                 assert count == EXPECTED_FIXED_POINTS[n]

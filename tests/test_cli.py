@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -387,7 +388,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("argv", [["census", "-"], ["census"]], ids=["dash", "bare"])
     def test_closed_stdin_is_io_error(self, argv):
-        result = run_with_closed("<&-", argv)
+        result = run_redirected("<&-", argv)
         assert (result.returncode, result.stdout) == (cli.EXIT_IO, b"")
         assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
         assert b"Traceback" not in result.stderr
@@ -420,11 +421,18 @@ class TestCensus:
         assert not target.parent.exists()
 
 
-def run_with_closed(redirect: str, argv) -> subprocess.CompletedProcess:
-    """Run ``python -m cytk`` with a standard descriptor closed by the shell
-    redirection ``redirect``, and no ``CYTK_DATABASE``."""
-    env = {key: value for key, value in os.environ.items() if key != "CYTK_DATABASE"}
+def run_redirected(redirect: str, argv, buffered: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python -m cytk`` with a standard descriptor closed or redirected
+    by the shell redirection ``redirect`` and no ``CYTK_DATABASE``; stdout is
+    block-buffered, as by default, or with ``buffered`` false unbuffered."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("CYTK_DATABASE", "PYTHONUNBUFFERED")
+    }
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         ["sh", "-c", f'exec "$0" -m cytk "$@" {redirect}', sys.executable, *argv],
         capture_output=True,
@@ -433,7 +441,8 @@ def run_with_closed(redirect: str, argv) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
+# A request of each subcommand, in text and JSON forms.
+STDOUT_REQUESTS = pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "5", "1", "1", "1", "1", "1"],
@@ -447,11 +456,26 @@ def run_with_closed(redirect: str, argv) -> subprocess.CompletedProcess:
     ],
     ids=lambda argv: " ".join(Path(arg).name for arg in argv),
 )
+
+
+@STDOUT_REQUESTS
 def test_closed_stdout_is_io_error(argv):
     # Text and JSON forms both: with descriptor 1 closed, sys.stdout is
     # None, which print() ignores and sys.stdout.write fails on.
-    result = run_with_closed(">&-", argv)
+    result = run_redirected(">&-", argv)
     assert (result.returncode, result.stderr) == (cli.EXIT_IO, b"error: stdout is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@STDOUT_REQUESTS
+def test_failed_stdout_write_is_io_error(argv, buffered):
+    # Every write to /dev/full fails with ENOSPC: unbuffered, at the first
+    # print, and buffered, at the flush before main returns rather than at
+    # the interpreter's flush at exit, which would add its own text.
+    result = run_redirected(">/dev/full", argv, buffered)
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert (result.returncode, result.stderr) == (cli.EXIT_IO, f"error: {full}\n".encode())
 
 
 def run_in_c_locale(argv, stdin: bytes) -> subprocess.CompletedProcess:
@@ -678,6 +702,49 @@ class TestTorusQuotient:
             code, out, err = run_cli(capsys, "torus-quotient", "--builtin", name)
             assert (code, out) == (2, "")
             assert err == f"error: unknown builtin action {shown}\n"
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"generators": [[1, 2]]}, "generator [1, 2] is not an object"),
+            ({"generators": ["abc"]}, 'generator "abc" is not an object'),
+            ({"generators": [7]}, "generator 7 is not an object"),
+            ({"label": "kummer"}, 'action has no "generators" member'),
+            (
+                {"generators": [{"translation": ["0", "0", "0", "0"]}]},
+                'generator has no "linear" member',
+            ),
+            ({"generators": [{"linear": ID4}]}, 'generator has no "translation" member'),
+        ],
+        ids=[
+            "list-generator", "string-generator", "number-generator",
+            "no-generators", "no-linear", "no-translation",
+        ],
+    )
+    def test_generator_shape_rejected_in_cytk_words(self, capsys, tmp_path, document, message):
+        # Not Python's "list indices must be integers or slices, not str",
+        # nor a bare KeyError repr such as 'translation'.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        for form in ([], ["--json"]):
+            code, out, err = run_cli(capsys, "torus-quotient", "--file", str(bad), *form)
+            assert (code, out) == (cli.EXIT_VALIDATION, "")
+            assert err == f"error: malformed action description: {message}\n"
+
+    def test_label_that_utf8_cannot_encode_exit_3(self, capsys, tmp_path):
+        # JSON's "\ud800" is a lone surrogate: the text reply could not print
+        # it, so the label is refused as it is read, in both forms.
+        path = tmp_path / "action.json"
+        for label, expected in [("\ud800", 3), ("\u00e9\U0001f600", 0)]:
+            path.write_text(json.dumps({**KUMMER_ACTION, "label": label}), encoding="utf-8")
+            for form in ([], ["--json"]):
+                code, out, err = run_cli(capsys, "torus-quotient", "--file", str(path), *form)
+                assert code == expected
+                if expected:
+                    assert (out, err) == ("", (
+                        'error: malformed action description: label "\\ud800" '
+                        "is not encodable as UTF-8\n"
+                    ))
 
     def test_malformed_file_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

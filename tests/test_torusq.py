@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from time import perf_counter
 
 import pytest
@@ -42,7 +42,6 @@ from cytk.torusq import (
     close_group,
     load_action,
     quotient_singularities,
-    reduced,
 )
 
 from congruence_reference import (
@@ -84,6 +83,21 @@ def _affine(m, t, v):
 
 def pair(g):
     return g.linear, g.translation
+
+
+def pairs(action):
+    """The action's elements as (rows, Fraction translation) pairs, the form
+    the reference works on."""
+    den = action.denominator
+    return [
+        (rows(linear), tuple(Fraction(x, den) for x in shift))
+        for linear, shift in action.elements
+    ]
+
+
+def least_point(orbit):
+    """The orbit's least point as Fractions."""
+    return tuple(Fraction(n, d) for n, d in orbit.coordinates)
 
 
 def compose(g, h):
@@ -146,7 +160,7 @@ class TestAffineTorusMap:
         # (M1,t1)(M2,t2) = (M1 M2, M1 t2 + t1): the closure of a and b'
         # holds a b' = (AB, A t_b) and b' a = (BA, t_b).
         a, b_shift = _linear(_L8_A), AffineTorusMap(_L8_B, _L8_SHIFT_B)
-        table = {pair(g) for g in close_group([a, b_shift]).elements}
+        table = set(pairs(close_group([a, b_shift])))
         a_b = (_mul4(a.linear, b_shift.linear), _affine(a.linear, ZERO4, _L8_SHIFT_B))
         b_a = (_mul4(b_shift.linear, a.linear), _L8_SHIFT_B)
         assert compose(pair(a), pair(b_shift)) == a_b and a_b in table
@@ -318,14 +332,14 @@ class TestBuiltinActions:
 
     def test_fixed_point_counts_by_order(self):
         for action in builtin_actions():
-            for g in map(pair, action.elements):
+            for g in pairs(action):
                 if g == IDENTITY:
                     continue
                 assert len(fixed_points(g)) == EXPECTED_FIXED_POINTS[order(g)]
 
     def test_fixed_point_count_equals_det(self):
         for action in builtin_actions():
-            for g in map(pair, action.elements):
+            for g in pairs(action):
                 if g == IDENTITY:
                     continue
                 delta = [
@@ -338,7 +352,7 @@ class TestBuiltinActions:
         for action in builtin_actions():
             involutions = [
                 g
-                for g in map(pair, action.elements)
+                for g in pairs(action)
                 if g != IDENTITY and compose(g, g) == IDENTITY
             ]
             if action.order % 2 == 0:
@@ -351,7 +365,7 @@ class TestBuiltinActions:
         for action in builtin_actions():
             report = quotient_singularities(action)
             points = set()
-            for g in map(pair, action.elements):
+            for g in pairs(action):
                 if g != IDENTITY:
                     points.update(fixed_points(g))
             assert sum(orbit.size for orbit in report.orbits) == len(points)
@@ -590,18 +604,16 @@ class TestClosureAndConjugation:
     def test_closure_matches_reference(self, name):
         for generators in builtin_and_conjugates(name):
             action = close_group(generators, label=name)
-            assert [(g.linear, g.translation) for g in action.elements] == (
-                reference_closure(generators)
-            )
+            assert pairs(action) == reference_closure(generators)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_elements_unimodular_and_orders_stored(self, name):
         for generators in builtin_and_conjugates(name):
             action = close_group(generators, label=name)
             assert len(action.orders) == len(action.elements)
-            for g, n in zip(action.elements, action.orders):
-                assert abs(determinant(g.linear)) == 1
-                assert n == order(pair(g))
+            for g, n in zip(pairs(action), action.orders):
+                assert abs(determinant(g[0])) == 1
+                assert n == order(g)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_conjugates_keep_order_multiset_and_orbits(self, name):
@@ -673,10 +685,11 @@ def test_orbits_match_fraction_apply(name, steps, shift):
     report = quotient_singularities(action)
     assert report.multiset == BUILTIN_EXPECTED[name]
     for orbit in report.orbits:
-        images = [_affine(*pair(g), orbit.representative) for g in action.elements]
+        point = least_point(orbit)
+        images = [_affine(*g, point) for g in pairs(action)]
         assert len(set(images)) == orbit.size
-        assert images.count(orbit.representative) == orbit.stabilizer_order
-        assert min(images) == orbit.representative
+        assert images.count(point) == orbit.stabilizer_order
+        assert min(images) == point
 
 
 # ----------------------------------------------------------------------
@@ -697,13 +710,13 @@ class TestClosedForms:
         assert len(actions) == 60
         for action in actions:
             den = action.denominator
-            for (linear, shift), g, n in zip(action.table, action.elements, action.orders):
+            for (linear, shift), g, n in zip(action.elements, pairs(action), action.orders):
                 if n not in (2, 3):
                     continue
                 numerators = _fixed_numerators(linear, shift, den, n)
                 closed = {tuple(Fraction(x, den) for x in point) for point in numerators}
                 assert len(closed) == len(numerators) == EXPECTED_FIXED_POINTS[n]
-                assert closed == fixed_points(pair(g))
+                assert closed == fixed_points(g)
 
     def test_one_denominator_six_times_the_lcm(self):
         for action in actions_and_conjugates():
@@ -711,13 +724,13 @@ class TestClosedForms:
             assert action.denominator == 6 * lcm(*(t.denominator for t in translations))
 
     def test_replies_and_elements_are_pinned(self):
-        # The --json replies and the elements of all 60 actions, pinned
-        # byte for byte.
+        # The --json replies and the elements of all 60 actions, the latter
+        # as (rows, Fraction translation) pairs, pinned byte for byte.
         replies, elements = hashlib.sha256(), hashlib.sha256()
         for action in actions_and_conjugates():
             report = quotient_singularities(action)
             replies.update(_quotient_json(report, orbifold_c2(report.multiset)).encode())
-            elements.update(repr([(g.linear, g.translation) for g in action.elements]).encode())
+            elements.update(repr(pairs(action)).encode())
         assert replies.hexdigest() == (
             "e23adbbe0faef84963291e9873c1b7572499d9d1ce1bf1340067c49de5b54589"
         )
@@ -736,18 +749,37 @@ class TestClosedForms:
             "606bb594a016b75d666129bc61f9c4d348f3805d05b7994a46111a1896ddbc34"
         )
 
-    def test_reduced_coordinates_are_the_representatives(self):
+    def test_elements_are_the_sorted_integer_table(self):
         for action in actions_and_conjugates():
-            for orbit in quotient_singularities(action).orbits:
-                assert orbit.denominator == action.denominator
-                assert reduced(orbit.numerators, orbit.denominator) == [
-                    (x.numerator, x.denominator) for x in orbit.representative
-                ]
+            den = action.denominator
+            assert len(action.elements) == action.order == len(action.orders)
+            assert list(action.elements) == sorted(action.elements)
+            for linear, shift in action.elements:
+                assert len(linear) == 16 and all(type(x) is int for x in linear)
+                assert len(shift) == 4
+                assert all(type(x) is int and 0 <= x < den for x in shift)
+
+    def test_coordinates_are_the_reference_least_points(self):
+        # The least point of each orbit of the Fraction reference: the fixed
+        # points of every non-identity element from the general solver, in
+        # orbits under the Fraction action.
+        for action in actions_and_conjugates():
+            elements = pairs(action)
+            points = set()
+            for g in elements:
+                if g != IDENTITY:
+                    points.update(fixed_points(g))
+            least = sorted({min(_affine(*g, p) for g in elements) for p in points})
+            orbits = quotient_singularities(action).orbits
+            assert [least_point(orbit) for orbit in orbits] == least
+            for orbit in orbits:
+                for n, d in orbit.coordinates:
+                    assert gcd(n, d) == 1 and action.denominator % d == 0
 
     def test_orders_from_power_sums_match_the_walk(self):
         for action in actions_and_conjugates():
             den = action.denominator
-            for (linear, shift), n in zip(action.table, action.orders):
+            for (linear, shift), n in zip(action.elements, action.orders):
                 assert n == _order(linear, shift, den)
                 m = rows(linear)
                 square = _mul4(m, m)
