@@ -2,23 +2,41 @@
 wellformedness, quasismoothness, the trivial-canonical-class degree
 condition, edge containment, the stratified singular locus, and the
 positivity bound for the orbifold second Chern class.  Wellformedness,
-quasismoothness and the degree condition take any number of weights.
+quasismoothness and the degree condition take any number n of weights.
 
-Wellformedness, quasismoothness and the singular locus come from one pass
-over the pairs of weights (``examine``).  It takes every pair gcd
-g = gcd(a, b) first.  For a pair a, b it then takes the inverse of a/g
-modulo b/g once, and with it tests whether a and b partition d (the edge
-on which they are free lies in X unless they do; condition (3) of
-quasismoothness reads the same answer) and each d - w_j (condition (2),
-which asks for two indices j, so the count stops at the second hit).  The
-gcd m of the other weights is read from the pair gcds: in P4 it is
-gcd(g_kl, w_p) for the three free weights k, l, p of the two-face on
-which a and b vanish.  m > 1 makes that two-face cut a singular curve of
-order m, and m, a gcd of n - 2 weights, must divide d for wellformedness,
-while gcd(m, a) and gcd(m, b), gcds of n - 1 weights, must be 1.
-``is_quasismooth``, ``is_wellformed_hypersurface``,
-``is_quasismooth_and_wellformed`` and ``singular_locus`` read that pass,
-so each criterion is written once."""
+X is wellformed, so that adjunction computes its canonical class, when
+any n - 1 of the n weights are coprime and the gcd of any n - 2 weights
+divides d.  X is quasismooth iff
+
+(1) every weight w_i divides d - w_j for some j (j = i allowed);
+(2) every pair of weights partitions d - w_{j1} and d - w_{j2} for two
+    distinct indices j1 != j2;
+(3) every set of three or more weights partitions d.
+
+``examine`` answers for weighted P4 and
+``is_quasismooth_and_wellformed`` for any n >= 3.  Each tests condition
+(1), which most candidate weight systems fail, first, and reads the rest
+from one pass over the pairs of weights (``_pair_pass``), which tests
+(2) and (3) only when (1) holds, so each criterion is written once.
+
+The pass takes every pair gcd g = gcd(a, b) first.  For a pair a, b it
+then takes the inverse of a/g modulo b/g once, and with it tests whether
+a and b partition d (the edge on which they are free lies in X unless
+they do; condition (3) reads the same answer) and each d - w_j
+(condition (2), which asks for two indices, so the count stops at the
+second hit).  The gcd m of the other weights is read from the pair gcds:
+in P4 it is gcd(g_kl, w_p) for the three free weights k, l, p of the
+two-face on which a and b vanish.  m > 1 makes that two-face cut a
+singular curve of order m, and m, a gcd of n - 2 weights, must divide d
+for wellformedness, while gcd(m, a) and gcd(m, b), gcds of n - 1
+weights, must be 1.
+
+Condition (3) is tested on the 3-subsets only: a weight added to a set
+keeps every sum the set partitions, so a 3-subset that partitions d makes
+each of its supersets partition d too.  For the same reason a 3-subset
+one of whose pairs partitions d partitions d (the third weight taken zero
+times), so ``arith.is_partitionable``, a walk of O(log d) rounds on the
+three weights, runs only when no pair does."""
 
 from __future__ import annotations
 
@@ -31,10 +49,6 @@ from typing import NamedTuple
 
 from cytk.arith import is_partitionable
 from cytk.wps import CyclicQuotientType, WeightSystem
-
-
-class NotQuasismoothError(ValueError):
-    """The general hypersurface of this weight system is not quasismooth."""
 
 
 class NotCalabiYauError(ValueError):
@@ -73,15 +87,6 @@ class SingularLocusReport(NamedTuple):
     contained_edges: tuple[ContainedEdge, ...]
     edge_point_loci: tuple[EdgePointLocus, ...]
     singular_curves: tuple[SingularCurve, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.singular_vertices
-            or self.contained_edges
-            or self.edge_point_loci
-            or self.singular_curves
-        )
 
     @property
     def smooth_in_codim2(self) -> bool:
@@ -171,10 +176,10 @@ def _pair_pass(
     each pair a, b of weights (see the module docstring), given the verdict
     of condition (1) of quasismoothness as ``quasismooth``: the caller
     tests it, and the pass goes on to (2) and (3) only if it holds.
-    ``pairs`` holds,
-    in the order of ``_pair_table``: g = gcd(a, b), whether a and b
-    partition d, how many of the d - w_j they partition (up to two; 0 once
-    quasismoothness has failed), and the gcd m of the other weights.
+    ``pairs`` holds, in the order of ``_pair_table``: g = gcd(a, b),
+    whether a and b partition d, how many of the d - w_j they partition
+    (up to two; 0 once quasismoothness has failed), and the gcd m of the
+    other weights.
 
     Every g is taken before the visits, and m is the gcd of the pieces
     that ``_pair_table`` names among the g and the weights, so no gcd of
@@ -226,10 +231,11 @@ def examine(ws: WeightSystem) -> tuple[bool, bool, SingularLocusReport]:
     """(wellformed, quasismooth, stratified singular locus) of the general X,
     from one pass over the ten pairs of weights.
 
-    The locus is computed without any precondition, so that it also
-    describes records that fail a criterion.  An edge of P lies in X when
-    its two free weights do not partition d.  Raises ValueError unless the
-    weight system has five weights.
+    The stratification is the singular locus of X when X is quasismooth,
+    a suborbifold of P.  It is computed without that precondition, so that
+    it also describes records that fail a criterion.  An edge of P lies in
+    X when its two free weights do not partition d.  Raises ValueError
+    unless the weight system has five weights.
     """
     ws.require_p4()
     d, w = ws.degree, ws.weights
@@ -250,58 +256,12 @@ def examine(ws: WeightSystem) -> tuple[bool, bool, SingularLocusReport]:
     return wellformed, quasismooth, locus
 
 
-def is_wellformed_hypersurface(ws: WeightSystem) -> bool:
-    """Degree/weight conditions under which adjunction computes the canonical
-    class of the general hypersurface: any n - 1 of the n weights are
-    coprime, and the gcd of any n - 2 weights divides the degree."""
-    # Wellformedness does not depend on quasismoothness, so the pass skips
-    # conditions (2) and (3).
-    return _pair_pass(ws, False)[0]
-
-
-def is_quasismooth(ws: WeightSystem) -> bool:
-    """Arithmetic quasismoothness criterion for the general hypersurface.
-
-    (1) every weight w_i divides d - w_j for some j (j = i allowed);
-    (2) every pair of weights partitions d - w_{j1} and d - w_{j2} for two
-        distinct indices j1 != j2;
-    (3) every set of three or more weights partitions d.
-
-    The criterion holds for any number of weights.  Condition (1), which
-    most candidate weight systems fail, is tested first and alone.  The
-    others are read from the pass that also gives wellformedness and the
-    singular locus: it takes each pair's gcd and inverse once and tests
-    the pair on d and on each d - w_j.  Condition (2) asks for two
-    indices, so a pair's count stops at its second hit.  Condition (3) is
-    tested on the 3-subsets only: a weight added to a set keeps every sum
-    the set partitions, so a 3-subset that partitions d makes each of its
-    supersets partition d too.  For the same reason a 3-subset one of
-    whose pairs partitions d partitions d (the third weight taken zero
-    times), so ``arith.is_partitionable``, a walk of O(log d) rounds on the
-    three weights, runs only when no pair does.
-    """
-    w = ws.weights
-    return _condition_1(w, [ws.degree - x for x in w]) and _pair_pass(ws, True)[1]
-
-
 def is_quasismooth_and_wellformed(ws: WeightSystem) -> bool:
-    """``is_quasismooth(ws) and is_wellformed_hypersurface(ws)``, for any
-    number of weights, with condition (1) tested first and alone and both
-    verdicts then read from one pair pass."""
+    """True iff the general hypersurface of n >= 3 weights is quasismooth
+    and wellformed: condition (1) is tested first and alone, and both
+    verdicts are then read from one pair pass."""
     w = ws.weights
     return _condition_1(w, [ws.degree - x for x in w]) and all(_pair_pass(ws, True)[:2])
-
-
-def singular_locus(ws: WeightSystem) -> SingularLocusReport:
-    """Stratified singular locus of the general quasismooth hypersurface.
-
-    Raises :class:`NotQuasismoothError` when the quasismoothness criterion
-    fails, since the stratification argument needs X to be a suborbifold.
-    """
-    _, quasismooth, locus = examine(ws)
-    if not quasismooth:
-        raise NotQuasismoothError(f"not quasismooth: {ws}")
-    return locus
 
 
 def c2_lower_bound(ws: WeightSystem) -> C2BoundReport:

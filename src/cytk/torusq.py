@@ -280,9 +280,16 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     element of matching order.
     """
     generators = tuple(generators)
-    den = lcm(*(t.denominator for g in generators for t in g.translation))
-    if den.bit_length() > DENOMINATOR_BITS:
-        raise ActionValidationError(f"translation denominator over {DENOMINATOR_BITS} bits")
+    # The lcm is refused as soon as it passes the bound, before it grows to
+    # the product of many wide denominators.
+    den = 1
+    for g in generators:
+        for t in g.translation:
+            den = lcm(den, t.denominator)
+            if den.bit_length() > DENOMINATOR_BITS:
+                raise ActionValidationError(
+                    f"translation denominator over {DENOMINATOR_BITS} bits"
+                )
     den *= 6
     steps = [
         (_flat(g.linear), tuple(t.numerator * (den // t.denominator) for t in g.translation))

@@ -17,10 +17,8 @@ from cytk.census import census_lines
 from cytk.cli import main
 from cytk.hypersurface import (
     c2_lower_bound,
+    examine,
     is_calabi_yau_degree,
-    is_quasismooth,
-    is_wellformed_hypersurface,
-    singular_locus,
 )
 from cytk.surface import (
     GATE_TOO_MANY,
@@ -75,7 +73,8 @@ def test_criterion_1_census_counts(census_result):
 
 def test_criterion_2_hypersurface_examples():
     x1734 = WeightSystem(1734, (91, 96, 102, 578, 867))
-    locus = singular_locus(x1734)
+    _, quasismooth, locus = examine(x1734)
+    assert quasismooth
     assert [c.quotient for c in locus.singular_curves] == [
         CyclicQuotientType(17, (6, 11)),
         CyclicQuotientType(3, (1, 2)),
@@ -84,18 +83,21 @@ def test_criterion_2_hypersurface_examples():
     assert locus.contained_edges == ()
 
     x120 = WeightSystem(120, (3, 7, 20, 40, 50))
-    locus = singular_locus(x120)
+    _, quasismooth, locus = examine(x120)
+    assert quasismooth
     assert [c.quotient for c in locus.singular_curves] == [
         CyclicQuotientType(10, (3, 7))
     ]
 
     x56 = WeightSystem(56, (2, 4, 9, 13, 28))
-    assert is_quasismooth(x56)
-    assert is_wellformed_hypersurface(x56)
-    assert [e.zeroed for e in singular_locus(x56).contained_edges] == [(0, 1, 4)]
+    wellformed, quasismooth, locus = examine(x56)
+    assert wellformed and quasismooth
+    assert [e.zeroed for e in locus.contained_edges] == [(0, 1, 4)]
 
     x7 = WeightSystem(7, (1, 1, 1, 2, 2))
-    assert [e.zeroed for e in singular_locus(x7).contained_edges] == [(0, 1, 2)]
+    _, quasismooth, locus = examine(x7)
+    assert quasismooth
+    assert [e.zeroed for e in locus.contained_edges] == [(0, 1, 2)]
     report(
         "criterion 2 (hypersurface examples)",
         "X1734 three curves and no edge; X120 one curve; X56 edge (0,1,4); "

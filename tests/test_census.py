@@ -260,8 +260,8 @@ class TestExports:
         assert len(verdicts) == 5
         for v in verdicts:
             ws = WeightSystem(v.degree, v.weights)
-            assert v.wellformed == hypersurface.is_wellformed_hypersurface(ws)
-            assert v.quasismooth == hypersurface.is_quasismooth(ws)
+            wellformed, quasismooth, _ = hypersurface.examine(ws)
+            assert (v.wellformed, v.quasismooth) == (wellformed, quasismooth)
             assert v.calabi_yau == hypersurface.is_calabi_yau_degree(ws)
 
 

@@ -66,6 +66,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 KS_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "kreuzer_skarke_wp4.txt"
 
 
+def cytk_env(*dropped: str) -> dict[str, str]:
+    """The environment of a ``python -m cytk`` subprocess: this process's,
+    less every key that starts with one of ``dropped``, with ``src`` first
+    on PYTHONPATH, so that the checkout's package runs whether or not it is
+    installed or on PYTHONPATH already."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith(dropped)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -144,7 +154,7 @@ class TestAnalyze:
         ]
         result = subprocess.run(
             [sys.executable, "-m", "cytk", *argv],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=cytk_env(), timeout=60,
         )
         assert (result.returncode, result.stderr) == (0, "")
         document = json.loads(result.stdout)
@@ -425,12 +435,7 @@ def run_redirected(redirect: str, argv, buffered: bool = True) -> subprocess.Com
     """Run ``python -m cytk`` with a standard descriptor closed or redirected
     by the shell redirection ``redirect`` and no ``CYTK_DATABASE``; stdout is
     block-buffered, as by default, or with ``buffered`` false unbuffered."""
-    env = {
-        key: value
-        for key, value in os.environ.items()
-        if key not in ("CYTK_DATABASE", "PYTHONUNBUFFERED")
-    }
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = cytk_env("CYTK_DATABASE", "PYTHONUNBUFFERED")
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
@@ -480,18 +485,11 @@ def test_failed_stdout_write_is_io_error(argv, buffered):
 
 def run_in_c_locale(argv, stdin: bytes) -> subprocess.CompletedProcess:
     """Run ``python -m cytk`` with no locale set, which is the C locale."""
-    env = {
-        key: value
-        for key, value in os.environ.items()
-        if not key.startswith(("LC_", "LANG"))
-        and key not in ("PYTHONIOENCODING", "PYTHONUTF8")
-    }
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cytk", *argv],
         input=stdin,
         capture_output=True,
-        env=env,
+        env=cytk_env("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"),
         timeout=60,
     )
 
@@ -544,7 +542,7 @@ class TestSurface:
         text = "+".join(["A" + "9" * 3000, "A" + "8" * 3000, "A" + "7" * 2999 + "1"])
         result = subprocess.run(
             [sys.executable, "-m", "cytk", "surface", text, *form],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=cytk_env(), timeout=60,
         )
         assert (result.returncode, result.stdout, result.stderr) == (2, "", LCM_OVER)
 
@@ -822,6 +820,7 @@ class TestTorusQuotient:
             [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad)],
             capture_output=True,
             text=True,
+            env=cytk_env(),
         )
         assert result.returncode == 3
         assert "error: malformed action description" in result.stderr
@@ -842,6 +841,35 @@ class TestTorusQuotient:
             [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad), *form],
             capture_output=True,
             text=True,
+            env=cytk_env(),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            3,
+            "",
+            f"error: translation denominator over {torusq.DENOMINATOR_BITS} bits\n",
+        )
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_many_wide_denominators_rejected_fast(self, tmp_path, form):
+        # 150 identity generators, each with four odd 14000-bit
+        # denominators, 2.5 MB: the lcm passes the bound at the second
+        # entry, long before the lcm of all 600 could be built
+        rng = random.Random(0)
+        generators = [
+            {
+                "linear": ID4,
+                "translation": [f"1/{rng.getrandbits(14000) | 1 << 13999 | 1}" for _ in range(4)],
+            }
+            for _ in range(150)
+        ]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"generators": generators}), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(wide), *form],
+            capture_output=True,
+            text=True,
+            env=cytk_env(),
+            timeout=5,
         )
         assert (result.returncode, result.stdout, result.stderr) == (
             3,
@@ -878,6 +906,7 @@ class TestTorusQuotient:
             [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad)],
             capture_output=True,
             text=True,
+            env=cytk_env(),
         )
         assert result.returncode == 3
         assert result.stderr == (
@@ -907,6 +936,7 @@ class TestTorusQuotient:
             [sys.executable, "-m", "cytk", "torus-quotient", "--file", str(bad)],
             capture_output=True,
             text=True,
+            env=cytk_env(),
         )
         assert result.returncode == 3
         assert result.stdout == ""
@@ -1365,6 +1395,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "cytk", "surface", "16A1"],
         capture_output=True,
         text=True,
+        env=cytk_env(),
     )
     assert result.returncode == 0
     assert "realized" in result.stdout

@@ -16,16 +16,12 @@ from cytk.hypersurface import (
     ContainedEdge,
     EdgePointLocus,
     NotCalabiYauError,
-    NotQuasismoothError,
     SingularCurve,
     SingularLocusReport,
     c2_lower_bound,
     examine,
     is_calabi_yau_degree,
-    is_quasismooth,
     is_quasismooth_and_wellformed,
-    is_wellformed_hypersurface,
-    singular_locus,
     _pair_pass,
 )
 from cytk.wps import CyclicQuotientType, WeightSystem
@@ -38,24 +34,33 @@ QUINTIC = WeightSystem(5, (1, 1, 1, 1, 1))
 KS_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "kreuzer_skarke_wp4.txt"
 
 
+def locus(ws):
+    """The singular locus of the general X, which must be quasismooth."""
+    _, quasismooth, report = examine(ws)
+    assert quasismooth
+    return report
+
+
+def condition_1(ws):
+    """Condition (1) of the quasismoothness criterion, tested apart from
+    ``hypersurface``: every weight divides some d - w_j."""
+    d, w = ws.degree, ws.weights
+    return all(any((d - x) % y == 0 for x in w) for y in w)
+
+
 class TestQuasismooth:
     def test_worked_examples(self):
-        assert is_quasismooth(X120)
-        assert is_quasismooth(X56)
-        assert is_quasismooth(X1734)
-        assert is_quasismooth(QUINTIC)
-        assert is_quasismooth(X7)
+        for ws in (X120, X56, X1734, QUINTIC, X7):
+            assert examine(ws)[:2] == (True, True)
 
-    @pytest.mark.parametrize(
-        "predicate", [is_quasismooth, is_quasismooth_and_wellformed, examine]
-    )
+    @pytest.mark.parametrize("predicate", [is_quasismooth_and_wellformed, examine])
     def test_condition_1_tested_once(self, monkeypatch, predicate):
-        condition_1 = hypersurface._condition_1
+        original = hypersurface._condition_1
         calls = []
 
         def counted(weights, targets):
             calls.append(weights)
-            return condition_1(weights, targets)
+            return original(weights, targets)
 
         monkeypatch.setattr(hypersurface, "_condition_1", counted)
         for _ in range(3):
@@ -64,32 +69,27 @@ class TestQuasismooth:
 
     def test_failing_first_condition(self):
         # no weight w_j with 7 | 9 - w_j
-        assert not is_quasismooth(WeightSystem(9, (1, 1, 3, 3, 7)))
+        assert not examine(WeightSystem(9, (1, 1, 3, 3, 7)))[1]
 
     def test_triple_that_needs_all_three_weights(self):
         # no pair of 4, 6, 11 partitions 25, but 4 + 4 + 6 + 11 does
         ws = WeightSystem(25, (1, 3, 4, 6, 11))
-        assert is_quasismooth(ws)
+        assert examine(ws)[1]
         assert reference_is_quasismooth(ws)
 
 
 class TestWeightCount:
     def test_three_weight_criteria(self):
         cubic_curve = WeightSystem(6, (1, 2, 3))
-        assert is_quasismooth(cubic_curve)
-        assert is_wellformed_hypersurface(cubic_curve)
+        assert _pair_pass(cubic_curve, condition_1(cubic_curve))[:2] == (True, True)
         # 4 divides none of 7 - 1, 7 - 2, 7 - 4; and gcd(2, 4) = 2
         bad = WeightSystem(7, (1, 2, 4))
-        assert not is_quasismooth(bad)
-        assert not is_wellformed_hypersurface(bad)
+        assert _pair_pass(bad, condition_1(bad))[:2] == (False, False)
 
-    @pytest.mark.parametrize(
-        "entry",
-        [examine, c2_lower_bound, singular_locus],
-    )
+    @pytest.mark.parametrize("entry", [examine, c2_lower_bound])
     def test_p4_entry_points_reject_four_weights(self, entry):
         quartic_surface = WeightSystem(4, (1, 1, 1, 1))
-        assert is_quasismooth(quartic_surface)
+        assert is_quasismooth_and_wellformed(quartic_surface)
         with pytest.raises(ValueError, match="five weights"):
             entry(quartic_surface)
 
@@ -103,24 +103,24 @@ class TestCalabiYauDegree:
 
 class TestContainedEdges:
     def test_x7_contains_the_2_2_edge(self):
-        edges = singular_locus(X7).contained_edges
+        edges = locus(X7).contained_edges
         assert [(e.zeroed, e.free_weights, e.singular) for e in edges] == [
             ((0, 1, 2), (2, 2), True)
         ]
 
     def test_x56_contains_exactly_one_edge(self):
-        edges = singular_locus(X56).contained_edges
+        edges = locus(X56).contained_edges
         assert [(e.zeroed, e.free_weights, e.singular) for e in edges] == [
             ((0, 1, 4), (9, 13), False)
         ]
 
     def test_x1734_contains_none(self):
-        assert singular_locus(X1734).contained_edges == ()
+        assert locus(X1734).contained_edges == ()
 
 
 class TestSingularLocus:
     def test_x1734_report(self):
-        report = singular_locus(X1734)
+        report = locus(X1734)
         assert [(c.zeroed, c.quotient) for c in report.singular_curves] == [
             ((0, 1), CyclicQuotientType(17, (6, 11))),
             ((0, 3), CyclicQuotientType(3, (1, 2))),
@@ -129,42 +129,45 @@ class TestSingularLocus:
         assert report.contained_edges == ()
 
     def test_x120_single_curve(self):
-        report = singular_locus(X120)
+        report = locus(X120)
         assert [(c.zeroed, c.quotient) for c in report.singular_curves] == [
             ((0, 1), CyclicQuotientType(10, (3, 7)))
         ]
 
     def test_quintic_is_smooth(self):
-        assert singular_locus(QUINTIC).is_empty
+        assert locus(QUINTIC) == SingularLocusReport((), (), (), ())
 
     def test_precondition(self):
-        with pytest.raises(NotQuasismoothError):
-            singular_locus(WeightSystem(9, (1, 1, 3, 3, 7)))
+        # the locus is reported for a weight system that is not quasismooth
+        ws = WeightSystem(9, (1, 1, 3, 3, 7))
+        _, quasismooth, report = examine(ws)
+        assert not quasismooth
+        assert report == reference_locus(ws)
 
     def test_curve_count_bounded_by_ten(self):
         for ws in (X1734, X120, X56, X7, QUINTIC):
-            assert len(singular_locus(ws).singular_curves) <= 10
+            assert len(locus(ws).singular_curves) <= 10
 
 
 class TestSmoothInCodim2:
     def test_examples(self):
-        assert singular_locus(QUINTIC).smooth_in_codim2
-        assert not singular_locus(X1734).smooth_in_codim2
-        assert not singular_locus(X120).smooth_in_codim2
+        assert locus(QUINTIC).smooth_in_codim2
+        assert not locus(X1734).smooth_in_codim2
+        assert not locus(X120).smooth_in_codim2
 
     def test_x7_not_smooth_via_contained_singular_edge(self):
-        assert not singular_locus(X7).smooth_in_codim2
+        assert not locus(X7).smooth_in_codim2
 
 
 class TestContainsNoEdge:
     def test_examples(self):
-        assert not singular_locus(X56).contains_no_edge
-        assert singular_locus(X1734).contains_no_edge
-        assert not singular_locus(X7).contains_no_edge
+        assert not locus(X56).contains_no_edge
+        assert locus(X1734).contains_no_edge
+        assert not locus(X7).contains_no_edge
 
     def test_no_edge_means_every_pair_partitions(self):
         for ws in (X1734, X120, QUINTIC):
-            if singular_locus(ws).contains_no_edge:
+            if locus(ws).contains_no_edge:
                 w = ws.weights
                 for i, j in combinations(range(5), 2):
                     assert is_pair_partitionable(ws.degree, w[i], w[j])
@@ -276,13 +279,10 @@ class TestAgainstAllSubsetsReference:
     @given(weight_systems())
     def test_random_weight_systems(self, ws):
         assert examine(ws) == reference_examine(ws)
-        assert is_quasismooth(ws) == reference_is_quasismooth(ws)
-        assert is_wellformed_hypersurface(ws) == reference_is_wellformed(ws)
 
     def test_worked_examples(self):
         for ws in (X1734, X120, X56, X7, QUINTIC, WeightSystem(9, (1, 1, 3, 3, 7))):
             assert examine(ws) == reference_examine(ws)
-            assert is_quasismooth(ws) == reference_is_quasismooth(ws)
 
     def test_ks_list(self):
         # every record of the KS list, contained edges and point loci included
@@ -296,8 +296,9 @@ class TestAgainstAllSubsetsReference:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))
     def test_any_number_of_weights(self, ws):
-        assert is_quasismooth(ws) == reference_is_quasismooth(ws)
-        assert is_wellformed_hypersurface(ws) == reference_is_wellformed(ws)
+        assert _pair_pass(ws, condition_1(ws))[:2] == (
+            reference_is_wellformed(ws), reference_is_quasismooth(ws)
+        )
         assert is_quasismooth_and_wellformed(ws) == (
             reference_is_quasismooth(ws) and reference_is_wellformed(ws)
         )
@@ -308,7 +309,7 @@ class TestAgainstAllSubsetsReference:
         # each pair's in-loop tests on d and on the d - w_j, and its gcds;
         # the d - w_j are tested until condition (1) or (2) has failed
         d, w = ws.degree, ws.weights
-        counting = all(any((d - x) % y == 0 for x in w) for y in w)
+        counting = condition_1(ws)
         _, _, pairs = _pair_pass(ws, counting)
         indices = list(combinations(range(len(w)), 2))
         assert len(pairs) == len(indices)
@@ -326,8 +327,7 @@ def test_huge_degree_is_fast():
     # the cost of the predicates does not grow with the degree
     ws = WeightSystem(10**12, (1, 2, 3, 5, 7))
     start = time.perf_counter()
-    assert is_quasismooth(ws)
-    report = examine(ws)[2]
+    report = locus(ws)
     assert time.perf_counter() - start < 0.5
     assert report.singular_vertices == (2, 4)
     assert not report.contained_edges

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cytk.hypersurface import EdgePointLocus, examine, is_wellformed_hypersurface
+from cytk.hypersurface import EdgePointLocus, SingularLocusReport, _pair_pass, examine
 from cytk.wps import CyclicQuotientType, WeightSystem
 
 X1734 = WeightSystem(1734, (91, 96, 102, 578, 867))
@@ -107,12 +107,11 @@ def reference_canonical_quotient(order, a, b):
 
 class TestWellformed:
     def test_worked_examples_are_wellformed(self):
-        assert is_wellformed_hypersurface(X120)
-        assert is_wellformed_hypersurface(X56)
-        assert is_wellformed_hypersurface(X1734)
+        for ws in (X120, X56, X1734):
+            assert examine(ws)[0]
 
     def test_common_factor_in_four_weights_fails(self):
-        assert not is_wellformed_hypersurface(WeightSystem(10, (1, 2, 2, 2, 2)))
+        assert not examine(WeightSystem(10, (1, 2, 2, 2, 2)))[0]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -127,7 +126,9 @@ class TestWellformed:
         expected = all(
             gcd(*sub) == 1 for sub in combinations(weights, n - 1)
         ) and all(ws.degree % gcd(*sub) == 0 for sub in combinations(weights, n - 2))
-        assert is_wellformed_hypersurface(ws) == expected
+        # wellformedness does not depend on quasismoothness, so the pass
+        # may skip conditions (2) and (3)
+        assert _pair_pass(ws, False)[0] == expected
 
 
 def two_face_types(ws):
@@ -147,7 +148,7 @@ class TestStratumSingularity:
         assert dict(two_face_types(X120))[0, 1] == CyclicQuotientType(10, (3, 7))
 
     def test_smooth_ambient_space(self):
-        assert examine(QUINTIC)[2].is_empty
+        assert examine(QUINTIC)[2] == SingularLocusReport((), (), (), ())
 
     def test_vertex_and_edge_markers(self):
         locus = examine(X120)[2]
