@@ -6,8 +6,9 @@ floating point is used anywhere.
 
 A two-part query costs O(1) big-integer operations: ``is_pair_partitionable``
 is the reference for the test that the pass over the pairs of weights in
-``hypersurface`` runs inline, with each pair's gcd and inverse taken once
-for d and every d - w_j; the tests check the pass against it.
+``hypersurface`` runs inline for d and every d - w_j, with each pair's gcd
+taken once and its inverse at most once, for a target below the pair's
+conductor; the tests check the pass against it.
 
 ``is_partitionable`` answers t = x*a + y*b + z*c with x, y, z >= 0 for
 three positive parts.  g = gcd(a, b) divides t - z*c, which fixes z modulo

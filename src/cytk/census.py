@@ -20,7 +20,6 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import log10
 from typing import Iterable, NamedTuple, Sequence, TextIO
@@ -47,8 +46,7 @@ class RecordVerdict(NamedTuple):
     singular_curve_types: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(NamedTuple):
     total: int
     not_smooth_codim2: int
     not_smooth_codim2_and_no_edge: int
@@ -145,9 +143,11 @@ def census_lines(
             failures.append((lineno, "not quasismooth"))
         if not wellformed:
             failures.append((lineno, "not wellformed"))
-        if not locus.smooth_in_codim2:
+        smooth = locus.smooth_in_codim2
+        no_edge = locus.contains_no_edge
+        if not smooth:
             not_smooth += 1
-            not_smooth_no_edge += locus.contains_no_edge
+            not_smooth_no_edge += no_edge
         verdicts.append(
             RecordVerdict(  # positional, in the order of the fields
                 lineno,
@@ -157,8 +157,8 @@ def census_lines(
                 wellformed,
                 quasismooth,
                 True,  # _record refused every record with d != sum(w)
-                locus.smooth_in_codim2,
-                locus.contains_no_edge,
+                smooth,
+                no_edge,
                 tuple([str(c.quotient) for c in locus.singular_curves]),
             )
         )

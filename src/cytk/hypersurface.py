@@ -20,16 +20,20 @@ from one pass over the pairs of weights (``_pair_pass``), which tests
 (2) and (3) only when (1) holds, so each criterion is written once.
 
 The pass takes every pair gcd g = gcd(a, b) first.  For a pair a, b it
-then takes the inverse of a/g modulo b/g once, and with it tests whether
-a and b partition d (the edge on which they are free lies in X unless
-they do; condition (3) reads the same answer) and each d - w_j
-(condition (2), which asks for two indices, so the count stops at the
-second hit).  The gcd m of the other weights is read from the pair gcds:
-in P4 it is gcd(g_kl, w_p) for the three free weights k, l, p of the
-two-face on which a and b vanish.  m > 1 makes that two-face cut a
-singular curve of order m, and m, a gcd of n - 2 weights, must divide d
-for wellformedness, while gcd(m, a) and gcd(m, b), gcds of n - 1
-weights, must be 1.
+then tests whether a and b partition d (the edge on which they are free
+lies in X unless they do; condition (3) reads the same answer) and each
+d - w_j (condition (2), which asks for two indices, so the count stops at
+the second hit).  A target t is a sum of a and b only if g divides t.
+For coprime a' = a/g and b' = b/g, every n >= (a' - 1)(b' - 1) is a
+non-negative combination of them (Sylvester), so every multiple of g from
+the conductor c = (a - g)(b/g - 1) on is a sum of a and b.  Only a target
+below c needs the inverse of a' modulo b', taken at most once a pair.
+The gcd m of the other weights is read from the pair gcds: in P4 it is
+gcd(g_kl, w_p) for the three free weights k, l, p of the two-face on
+which a and b vanish.  m > 1 makes that two-face cut a singular curve of
+order m, and m, a gcd of n - 2 weights, must divide d for
+wellformedness, while gcd(m, a) and gcd(m, b), gcds of n - 1 weights,
+must be 1.
 
 Condition (3) is tested on the 3-subsets only: a weight added to a set
 keeps every sum the set partitions, so a 3-subset that partitions d makes
@@ -40,7 +44,6 @@ three weights, runs only when no pair does."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -102,8 +105,7 @@ class SingularLocusReport(NamedTuple):
         return not self.contained_edges
 
 
-@dataclass(frozen=True)
-class C2BoundReport:
+class C2BoundReport(NamedTuple):
     """Exact lower bound d*(4q - 2s) / (10N) for c2_orb(X) . O_X(1), where
     N is the product of the weights, s their second elementary symmetric
     function and q the sum of their squares."""
@@ -184,9 +186,13 @@ def _pair_pass(
     Every g is taken before the visits, and m is the gcd of the pieces
     that ``_pair_table`` names among the g and the weights, so no gcd of
     more than two weights is taken.  The pair test is
-    ``arith.is_pair_partitionable`` with g and the inverse taken once:
-    t = x*a + y*b with x, y >= 0 iff g divides t and the least x >= 0 with
-    x*a = t (mod b), (t/g) * (a/g)^-1 mod b/g, leaves t - x*a >= 0.
+    ``arith.is_pair_partitionable`` with g taken once: t = x*a + y*b with
+    x, y >= 0 iff g divides t and the least x >= 0 with x*a = t (mod b),
+    (t/g) * (a/g)^-1 mod b/g, leaves t - x*a >= 0.  Every multiple t of g
+    from the conductor c = (a - g)(b/g - 1) on is such a sum, since for
+    coprime a' and b' every n >= (a' - 1)(b' - 1) is a non-negative
+    combination of them.  So the inverse is taken only for a target below
+    c, and at most once a pair.
     """
     d, w = ws.degree, ws.weights
     n = len(w)
@@ -199,12 +205,19 @@ def _pair_pass(
     for (i, j, _, others), g in zip(pairs, gcds):
         a, b = w[i], w[j]
         step = b // g
-        inverse = pow(a // g, -1, step)
-        on_d = d % g == 0 and d // g * inverse % step * a <= d
+        conductor = (a - g) * (step - 1)
+        inverse = 0  # until taken; below c, step > 1, so a taken inverse is not 0
+        on_d = d % g == 0 and (
+            d >= conductor or d // g * (inverse := pow(a // g, -1, step)) % step * a <= d
+        )
         hits = 0
         if quasismooth:
             for t in targets:
-                if t % g == 0 and t // g * inverse % step * a <= t:
+                if t % g == 0 and (
+                    t >= conductor
+                    or t // g * (inverse or (inverse := pow(a // g, -1, step))) % step * a
+                    <= t
+                ):
                     hits += 1
                     if hits == 2:
                         break
@@ -244,13 +257,12 @@ def examine(ws: WeightSystem) -> tuple[bool, bool, SingularLocusReport]:
     point_loci = []
     curves = []
     for (i, j, zeroed, _), (g, on_d, _, m) in zip(_PAIRS, pairs):
-        a, b = w[i], w[j]
         if not on_d:
-            in_x.append(ContainedEdge(zeroed, (a, b), g > 1))
+            in_x.append(ContainedEdge(zeroed, (w[i], w[j]), g > 1))
         elif g > 1:
             point_loci.append(EdgePointLocus(zeroed, g))
         if m > 1:
-            curves.append(SingularCurve((i, j), CyclicQuotientType(m, (a % m, b % m))))
+            curves.append(SingularCurve((i, j), CyclicQuotientType(m, (w[i] % m, w[j] % m))))
     vertices = tuple([i for i, x in enumerate(w) if d % x])  # w_i > 1 not dividing d
     locus = SingularLocusReport(vertices, tuple(in_x), tuple(point_loci), tuple(curves))
     return wellformed, quasismooth, locus

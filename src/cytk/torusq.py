@@ -186,8 +186,11 @@ class AffineTorusMap:
         for t in self.translation:  # a float is not read as its binary fraction
             if not isinstance(t, Rational):
                 raise TypeError(f"{type(t).__name__!r} object is not a rational number")
-        translation = tuple(
-            Fraction(t.numerator % t.denominator, t.denominator) for t in self.translation
+        translation = tuple(  # a Fraction already in [0, 1) is kept as it is
+            t
+            if type(t) is Fraction and 0 <= t.numerator < t.denominator
+            else Fraction(t.numerator % t.denominator, t.denominator)
+            for t in self.translation
         )
         if len(translation) != 4:
             raise ValueError("translation must have 4 coordinates")
@@ -581,14 +584,16 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def _translation_entry(value: object) -> Fraction:
     """A translation coordinate, which JSON must give as an integer or "p/q"
-    string: a float is not read as the binary fraction it rounds to, and an
-    exponent such as "1e-5000" is not expanded to its digits."""
+    string, as one Fraction in [0, 1): a float is not read as the binary
+    fraction it rounds to, and an exponent such as "1e-5000" is not
+    expanded to its digits."""
     match = isinstance(value, str) and _RATIONAL.fullmatch(value)
     if not match:
         raise TypeError(f'translation entry {_shown(value)} is not a "p/q" string')
     numerator, denominator = match.groups()
     try:
-        return Fraction(int(numerator), int(denominator or 1))
+        p, q = int(numerator), int(denominator or 1)
+        return Fraction(p % q, q)  # taken mod Z, as AffineTorusMap keeps it
     except ValueError:  # the digits are over int's limit
         raise ValueError(
             f"translation entry {_shown(value)} has an integer over "

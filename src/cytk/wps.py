@@ -3,23 +3,21 @@ and the cyclic quotient surface germs 1/m(a, b) in canonical form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple("WeightSystem", [("degree", int), ("weights", tuple[int, ...])])):
     """A degree d together with the positive weights of the ambient
     weighted projective space: five for P4, at least three in general.
     A degree or weight that is not an integer raises TypeError: 5.9 is not
-    read as 5."""
+    read as 5.  Immutable, compared and hashed as the pair (degree,
+    weights)."""
 
-    degree: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, degree: int, weights: Iterable[int]) -> None:
+    def __new__(cls, degree: int, weights: Iterable[int]) -> WeightSystem:
         weights = tuple(map(index, weights))
         degree = index(degree)
         if len(weights) < 3 or min(weights) <= 0:
@@ -28,8 +26,7 @@ class WeightSystem:
             raise ValueError("degree must be at least the largest weight")
         if gcd(*weights) != 1:
             raise ValueError("weights must be globally coprime")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "weights", weights)
+        return tuple.__new__(cls, (degree, weights))
 
     def __str__(self) -> str:
         return f"X_{self.degree} in P{self.weights}"
@@ -72,11 +69,14 @@ def _canonical_quotient(order: int, a: int, b: int) -> tuple[int, tuple[int, int
     b = b % order // g
     if m < 2:
         raise ValueError("quotient order must be at least 2")
+    if (a + b) % m == 0:  # Gorenstein: a is a unit and the orbit is {(u, -u)}
+        return m, (1, m - 1)
     return m, min(_least_orbit_point(m, a, b), _least_orbit_point(m, b, a))
 
 
-@dataclass(frozen=True)
-class CyclicQuotientType:
+class CyclicQuotientType(
+    NamedTuple("CyclicQuotientType", [("order", int), ("local_weights", tuple[int, int])])
+):
     """The cyclic quotient surface germ of type 1/m(a, b).
 
     Instances are stored in canonical form: (a, b) is the lexicographically
@@ -84,15 +84,17 @@ class CyclicQuotientType:
     e.g. 1/3(2, 1) and 1/3(1, 2) compare equal.  The canonical form costs
     two modular inverses per orientation and a walk of a few gcds, so it
     grows with the bit size of m, not with m.
+
+    A Gorenstein germ, a + b = 0 (mod m), is the A_{m-1} du Val point
+    1/m(1, m - 1) and is read off without the walk: a is then a unit, so
+    rescaling by its inverse gives (1, -1), and every unit u gives the
+    orbit point (u, -u).  Every curve of the KS census is of this type.
     """
 
-    order: int
-    local_weights: tuple[int, int]
+    __slots__ = ()
 
-    def __init__(self, order: int, local_weights: tuple[int, int]) -> None:
-        m, pair = _canonical_quotient(order, *local_weights)
-        object.__setattr__(self, "order", m)
-        object.__setattr__(self, "local_weights", pair)
+    def __new__(cls, order: int, local_weights: tuple[int, int]) -> CyclicQuotientType:
+        return tuple.__new__(cls, _canonical_quotient(order, *local_weights))
 
     def __str__(self) -> str:
         a, b = self.local_weights

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -232,6 +233,23 @@ class TestRunCensus:
             out = io.StringIO()
             write_csv(verdicts, out)
             assert out.getvalue().encode("utf-8") == golden
+
+    def test_every_ks_curve_is_gorenstein(self):
+        # the transverse germ along a singular curve of X is 1/m(a, -a),
+        # the A_{m-1} point 1/m(1, m - 1), which CyclicQuotientType reads
+        # off without its walk
+        golden = PERFBENCH_DATA / "golden_verdicts.csv"
+        with golden.open(encoding="utf-8", newline="") as handle:
+            types = [
+                germ
+                for row in csv.DictReader(handle)
+                for germ in row["singular_curve_types"].split(";")
+                if germ
+            ]
+        assert len(types) == 7863
+        for germ in types:
+            m = int(germ[2 : germ.index("(")])
+            assert germ == f"1/{m}(1,{m - 1})"
 
 
 class TestExports:

@@ -821,6 +821,7 @@ class TestTorusQuotient:
             capture_output=True,
             text=True,
             env=cytk_env(),
+            timeout=60,
         )
         assert result.returncode == 3
         assert "error: malformed action description" in result.stderr
@@ -842,6 +843,7 @@ class TestTorusQuotient:
             capture_output=True,
             text=True,
             env=cytk_env(),
+            timeout=60,
         )
         assert (result.returncode, result.stdout, result.stderr) == (
             3,
@@ -907,6 +909,7 @@ class TestTorusQuotient:
             capture_output=True,
             text=True,
             env=cytk_env(),
+            timeout=60,
         )
         assert result.returncode == 3
         assert result.stderr == (
@@ -937,6 +940,7 @@ class TestTorusQuotient:
             capture_output=True,
             text=True,
             env=cytk_env(),
+            timeout=60,
         )
         assert result.returncode == 3
         assert result.stdout == ""
@@ -1396,6 +1400,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         env=cytk_env(),
+        timeout=60,
     )
     assert result.returncode == 0
     assert "realized" in result.stdout

@@ -323,6 +323,67 @@ class TestAgainstAllSubsetsReference:
             assert m == gcd(*(w[k] for k in range(len(w)) if k not in (i, j)))
 
 
+@st.composite
+def conductor_systems(draw):
+    """A weight system whose first two weights a, b, with g = gcd(a, b),
+    meet targets at the conductor c = (a - g)(b/g - 1) and around it: the
+    degree d and the d - w_j of the other weights sit at c - g (the
+    Frobenius number when a/g, b/g > 1), c, c +- k*g and values g does
+    not divide.  A last weight 1 makes the weights coprime."""
+    g = draw(st.integers(min_value=1, max_value=6))
+    a1, b1 = draw(st.tuples(*[st.integers(min_value=1, max_value=15)] * 2))
+    assume(gcd(a1, b1) == 1)
+    a, b = g * a1, g * b1
+    c = (a - g) * (b1 - 1)
+    k = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=1, max_value=max(g - 1, 1)))
+    near = [c - g, c, c + k * g, c - k * g]
+    if g > 1:
+        near += [c + r, c - r, c - g + r]
+    near = sorted({t for t in near if t >= 0})
+    high = [t for t in near if t >= max(a, b)]
+    if high and draw(st.booleans()):
+        degree = draw(st.sampled_from(high))
+    else:
+        degree = max(a, b, near[-1] + 1) + draw(st.integers(min_value=0, max_value=2))
+    below = [t for t in near if t < degree]
+    targets = draw(st.lists(st.sampled_from(below), max_size=3)) if below else []
+    return WeightSystem(degree, (a, b, *(degree - t for t in targets), 1))
+
+
+class TestConductor:
+    @settings(max_examples=500, deadline=None)
+    @given(conductor_systems())
+    def test_pair_pass_against_brute_force(self, ws):
+        d, w = ws.degree, ws.weights
+        _, _, pairs = _pair_pass(ws, True)
+        for (i, j), (g, on_d, hits, _) in zip(combinations(range(len(w)), 2), pairs):
+            reach = reference_sums((w[i], w[j]), d)
+            assert g == gcd(w[i], w[j])
+            assert on_d == bool(reach >> d & 1)
+            if (i, j) == (0, 1):  # counted whatever condition (1) says
+                assert hits == min(sum(reach >> (d - x) & 1 for x in w), 2)
+
+    def test_degree_at_the_frobenius_number(self):
+        # 4 and 7 have c = 3 * 6 = 18, and d = 17 = c - 1 is their
+        # Frobenius number: the edge on which they are free lies in X
+        ws = WeightSystem(17, (1, 2, 3, 4, 7))
+        assert not _pair_pass(ws, True)[2][9][1]
+        _, quasismooth, report = examine(ws)
+        assert quasismooth
+        assert ContainedEdge((0, 1, 2), (4, 7), False) in report.contained_edges
+        assert examine(ws) == reference_examine(ws)
+
+    def test_degree_at_the_conductor(self):
+        # d = 18 = c for 4 and 7, so 18 = 4 + 2 * 7 and that edge is not in X
+        ws = WeightSystem(18, (2, 2, 3, 4, 7))
+        assert _pair_pass(ws, True)[2][9][1]
+        _, quasismooth, report = examine(ws)
+        assert quasismooth
+        assert all(e.free_weights != (4, 7) for e in report.contained_edges)
+        assert examine(ws) == reference_examine(ws)
+
+
 def test_huge_degree_is_fast():
     # the cost of the predicates does not grow with the degree
     ws = WeightSystem(10**12, (1, 2, 3, 5, 7))

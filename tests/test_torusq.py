@@ -143,6 +143,8 @@ class TestAffineTorusMap:
         assert g.linear == NEG_ID
         assert g.translation == (HALF, Fraction(3, 4), 0, 0)
         assert all(type(t) is Fraction for t in g.translation)
+        kept = Fraction(5, 7)  # already in [0, 1): no second Fraction is built
+        assert AffineTorusMap(ID4, (kept, 0, 0, 0)).translation[0] is kept
 
     def test_rejects_a_non_integer_linear_entry(self):
         # as WeightSystem does: -1.9 is not truncated to -1
@@ -843,7 +845,10 @@ class TestClosedForms:
     def test_translation_entry_reads_as_fraction_would(self, parts):
         sign, numerator, denominator = parts
         text = f"{sign}{numerator}" + ("" if denominator is None else f"/{denominator}")
-        assert _translation_entry(text) == Fraction(text)
+        # read as Fraction reads it, and taken mod Z as the generator keeps it
+        entry = _translation_entry(text)
+        assert entry == Fraction(text) % 1
+        assert type(entry) is Fraction
 
 
 I4_JSON = [list(row) for row in ID4]

@@ -80,6 +80,26 @@ class TestCyclicQuotientType:
             CyclicQuotientType(primorial, (1, primorial // 37))
         )
 
+    def test_gorenstein_matches_unit_loop(self):
+        # 1/m(a, -a) for a unit a, the germ along every curve of the KS
+        # census, is read off as 1/m(1, m - 1) without the walk
+        for m in range(2, 201):
+            for a in range(1, m):
+                if gcd(a, m) == 1:
+                    q = CyclicQuotientType(m, (a, m - a))
+                    assert (q.order, q.local_weights) == reference_canonical_quotient(
+                        m, a, m - a
+                    )
+
+    def test_gorenstein_3000_bit_order(self):
+        m = 3**1900  # 3012 bits
+        a = 2**2000 + 1  # not a multiple of 3, so a unit
+        for pair in ((a, m - a), (m - a, a), (a, -a), (a + m, 2 * m - a)):
+            q = CyclicQuotientType(m, pair)
+            assert (q.order, q.local_weights) == (m, (1, m - 1))
+        # a non-faithful action reduces to the same germ
+        assert CyclicQuotientType(5 * m, (5 * a, -5 * a)) == CyclicQuotientType(m, (1, m - 1))
+
 
 def reference_canonical_quotient(order, a, b):
     """The canonical form by trying every unit u < m: the implementation
