@@ -172,12 +172,13 @@ def _condition_1(weights: tuple[int, ...], targets: list[int]) -> bool:
 
 
 def _pair_pass(
-    ws: WeightSystem, quasismooth: bool
+    ws: WeightSystem, targets: list[int], quasismooth: bool
 ) -> tuple[bool, bool, list[tuple[int, bool, int, int]]]:
     """(wellformed, quasismooth, pairs) of n >= 3 weights, from one visit of
-    each pair a, b of weights (see the module docstring), given the verdict
-    of condition (1) of quasismoothness as ``quasismooth``: the caller
-    tests it, and the pass goes on to (2) and (3) only if it holds.
+    each pair a, b of weights (see the module docstring), given the targets
+    d - w_j and the verdict of condition (1) of quasismoothness on them as
+    ``quasismooth``: the caller tests it, and the pass goes on to (2) and
+    (3) only if it holds.
     ``pairs`` holds, in the order of ``_pair_table``: g = gcd(a, b),
     whether a and b partition d, how many of the d - w_j they partition
     (up to two; 0 once quasismoothness has failed), and the gcd m of the
@@ -197,7 +198,6 @@ def _pair_pass(
     d, w = ws.degree, ws.weights
     n = len(w)
     pairs, triples = (_PAIRS, _TRIPLES) if n == 5 else (_pair_table(n), _triple_table(n))
-    targets = [d - x for x in w]
     wellformed = True
     gcds = [gcd(w[i], w[j]) for i, j, _, _ in pairs]
     pieces = [*gcds, *w]
@@ -252,7 +252,8 @@ def examine(ws: WeightSystem) -> tuple[bool, bool, SingularLocusReport]:
     """
     ws.require_p4()
     d, w = ws.degree, ws.weights
-    wellformed, quasismooth, pairs = _pair_pass(ws, _condition_1(w, [d - x for x in w]))
+    targets = [d - x for x in w]
+    wellformed, quasismooth, pairs = _pair_pass(ws, targets, _condition_1(w, targets))
     in_x = []
     point_loci = []
     curves = []
@@ -273,7 +274,8 @@ def is_quasismooth_and_wellformed(ws: WeightSystem) -> bool:
     and wellformed: condition (1) is tested first and alone, and both
     verdicts are then read from one pair pass."""
     w = ws.weights
-    return _condition_1(w, [ws.degree - x for x in w]) and all(_pair_pass(ws, True)[:2])
+    targets = [ws.degree - x for x in w]
+    return _condition_1(w, targets) and all(_pair_pass(ws, targets, True)[:2])
 
 
 def c2_lower_bound(ws: WeightSystem) -> C2BoundReport:

@@ -15,13 +15,14 @@ denominators: an integral M maps (1/(6 D)) Z^4 into itself, so every
 element is a pair (M, numerators of t over 6 * D) of integer tuples, with
 M flattened row by row to 16 entries, on which each 4x4 product and each
 image is one written-out expression.  Those pairs, ``TorusAction.elements``,
-are the group's one form.  The closure, the element orders, the fixed
-points and the orbits run on them only, and each uses what validation
-fixes: an element's order is read off the power sums of its linear part,
-and an element of prime order p = 2 or 3 has its fixed points in closed
-form, with denominators dividing p * D and so 6 * D.  An orbit's least
-point is found as numerators over 6 * D and kept as ``Orbit.coordinates``,
-each coordinate reduced once to its lowest terms.
+are the group's one form.  The closure, by cosets at about one product
+an element, the element orders, the fixed points and the orbits run on
+them only, and the last three use what validation fixes: an element's
+order is read off the traces tr M and tr M^2 of its linear part, and an
+element of prime order p = 2 or 3 has its fixed points in closed form,
+with denominators dividing p * D and so 6 * D.  An orbit's least point is
+found as numerators over 6 * D and kept as ``Orbit.coordinates``, each
+coordinate reduced once to its lowest terms.
 """
 
 from __future__ import annotations
@@ -58,17 +59,13 @@ DENOMINATOR_BITS = 14000
 
 # The realifications of SL(2,C) elements of each finite order, (x-1)^4,
 # (x+1)^4, (x^2+x+1)^2, (x^2+1)^2 and (x^2-x+1)^2, are the only
-# characteristic polynomials a canonical linear part may have.  Over Q a
-# quartic characteristic polynomial and the power sums (tr M, tr M^2,
-# tr M^3, tr M^4) determine each other by Newton's identities, so the
-# power sums are what is compared.  The keys are the allowed element orders.
-_CANONICAL_POWER_SUMS = {
-    1: (4, 4, 4, 4),
-    2: (-4, 4, -4, 4),
-    3: (-2, -2, 4, -2),
-    4: (0, -4, 0, 4),
-    6: (2, -2, -4, -2),
-}
+# characteristic polynomials a canonical linear part may have.  A linear
+# part of finite order has a product of cyclotomic polynomials of total
+# degree 4 as its characteristic polynomial, one of 24 (Phi_n for n in
+# {1, 2, 3, 4, 5, 6, 8, 10, 12}), and each canonical polynomial is the only
+# one of them with its first two power sums (tr M, tr M^2), so those are
+# what is compared.  The keys are the allowed element orders.
+_CANONICAL_POWER_SUMS = {1: (4, 4), 2: (-4, 4), 3: (-2, -2), 4: (0, -4), 6: (2, -2)}
 _CANONICAL_ORDERS = {sums: n for n, sums in _CANONICAL_POWER_SUMS.items()}
 
 
@@ -124,22 +121,13 @@ def _image(
     )
 
 
-def _power_sums(linear: FlatMatrix) -> tuple[int, int, int, int]:
-    """(tr M, tr M^2, tr M^3, tr M^4) from the one product S = M^2: tr M^3
-    is the sum of S_ij M_ji and tr M^4 that of S_ij S_ji."""
+def _traces(linear: FlatMatrix) -> tuple[int, int]:
+    """(tr M, tr M^2), tr M^2 being the sum of M_ij M_ji over all i, j."""
     m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = linear
-    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = _mat_mul(
-        linear, linear
-    )
     return (
         m0 + m5 + m10 + m15,
-        s0 + s5 + s10 + s15,
-        s0 * m0 + s1 * m4 + s2 * m8 + s3 * m12
-        + s4 * m1 + s5 * m5 + s6 * m9 + s7 * m13
-        + s8 * m2 + s9 * m6 + s10 * m10 + s11 * m14
-        + s12 * m3 + s13 * m7 + s14 * m11 + s15 * m15,
-        s0 * s0 + s5 * s5 + s10 * s10 + s15 * s15
-        + 2 * (s1 * s4 + s2 * s8 + s3 * s12 + s6 * s9 + s7 * s13 + s11 * s14),
+        m0 * m0 + m5 * m5 + m10 * m10 + m15 * m15
+        + 2 * (m1 * m4 + m2 * m8 + m3 * m12 + m6 * m9 + m7 * m13 + m11 * m14),
     )
 
 
@@ -257,23 +245,28 @@ class TorusAction:
 def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusAction:
     """Close the generators under composition and validate the result.
 
-    The closure is breadth-first: each element, starting from the identity,
-    is multiplied on the right by each generator once.  A group G thus
-    costs |G|*|gens| products, an element reached by a word of length k has
-    entries of bit size O(k), and an infinite group is rejected after at
-    most (CAP + 1)*|gens| products.  All of it runs on integer tuples over
-    6 times the generators' common denominator, the action's denominator,
-    with each linear part flattened once, here, to its 16 entries.
+    The closure is Dimino's, by cosets: for each generator g not yet in the
+    subgroup H that those before it generate, the right coset H*g is added,
+    one product per new element, and each coset representative is
+    multiplied by each generator that enlarged H, a product not yet in the
+    group adding its coset at once.  A cyclic group G costs |G| - 1
+    products and the binary tetrahedral group 28.  Each generator that
+    enlarges H at least doubles it, so an infinite group is rejected after
+    fewer than 10 * ``CAP`` products, and an element reached by a word of
+    length k has entries of bit size O(k).  All of it runs on integer
+    tuples over 6 times the generators' common denominator, the action's
+    denominator, with each linear part flattened once, here, to 16 entries.
 
-    Each element's order is then read off the power sums (tr M, ..., tr M^4)
-    of its linear part M, taken from the one product M^2, and kept on the
-    action.  An element of the finite group has finite order, so M is
-    diagonalizable, and power sums equal to ``_CANONICAL_POWER_SUMS[n]``
-    fix its eigenvalues and so make n the order of M.  When G holds no
-    non-trivial translation, g^n = (I, t) lies in G and so is the identity,
-    and n is the order of g.  Otherwise, and for an element whose power
-    sums are not canonical, the order is found by walking its powers; such
-    an element fails the order test or the SL(2,C) test.
+    Each element's order is then read off the traces (tr M, tr M^2) of its
+    linear part M and kept on the action.  An element of the finite group
+    has finite order, so M is diagonalizable and its characteristic
+    polynomial a product of cyclotomic polynomials, which traces equal to
+    ``_CANONICAL_POWER_SUMS[n]`` fix (see there), and with it the
+    eigenvalues of M: n is the order of M.  When G holds no non-trivial
+    translation, g^n = (I, t) lies in G and so is the identity, and n is
+    the order of g.  Otherwise, and for an element whose traces are not
+    canonical, the order is found by walking its powers; such an element
+    fails the order test or the SL(2,C) test.
 
     Raises ActionValidationError when the translations' common denominator
     exceeds ``DENOMINATOR_BITS`` bits, the closure exceeds ``CAP`` elements,
@@ -300,15 +293,22 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     ]
     identity = (_IDENTITY, (0, 0, 0, 0))
     elements = {identity}
-    queue = [identity]
-    for linear, shift in queue:
-        for step, step_shift in steps:
-            product = (_mat_mul(linear, step), _image(linear, shift, step_shift, den))
-            if product not in elements:
-                elements.add(product)
-                if len(elements) > CAP:
-                    raise ActionValidationError(f"not finite within cap {CAP}")
-                queue.append(product)
+    enlarging = []
+    for step in steps:
+        if step in elements:
+            continue
+        enlarging.append(step)
+        subgroup = elements - {identity}  # H; the identity times a word is the word
+        words = [step]  # step, then each representative's products with `enlarging`
+        for word in words:
+            if word in elements:
+                continue
+            linear, shift = word
+            elements.add(word)
+            elements.update((_mat_mul(h, linear), _image(h, t, shift, den)) for h, t in subgroup)
+            if len(elements) > CAP:
+                raise ActionValidationError(f"not finite within cap {CAP}")
+            words += [(_mat_mul(linear, g), _image(linear, shift, t, den)) for g, t in enlarging]
     if len(elements) == 1:
         raise ActionValidationError("trivial group: the quotient is the torus itself")
 
@@ -321,7 +321,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     orders = []
     walks = []
     for linear, shift in ordered:
-        n = None if translated else _CANONICAL_ORDERS.get(_power_sums(linear))
+        n = None if translated else _CANONICAL_ORDERS.get(_traces(linear))
         if n is None:
             n = _order(linear, shift, den)
             walks.append(n)
@@ -332,7 +332,7 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     if translated:
         raise ActionValidationError("contains nontrivial translation")
     # Without translations n is also the order of M.  A walked element's
-    # power sums are canonical for no order, so n is forbidden or M fails
+    # traces are canonical for no order, so n is forbidden or M fails
     # the SL(2,C) test, and the first walked element decides.
     if walks:
         n = walks[0]
@@ -350,16 +350,16 @@ def close_group(generators: Iterable[AffineTorusMap], label: str = "") -> TorusA
     )
 
 
-# Recognition of stabilizer subgroups by (order, element-order histogram);
+# Recognition of stabilizer subgroups by their sorted element orders;
 # within the validated orders this separates the possible classes uniquely.
-_STABILIZER_CLASSES: Mapping[tuple[int, tuple[tuple[int, int], ...]], tuple[str, DuValType]] = {
-    (2, ((1, 1), (2, 1))): ("Z2", DuValType("A", 1)),
-    (3, ((1, 1), (3, 2))): ("Z3", DuValType("A", 2)),
-    (4, ((1, 1), (2, 1), (4, 2))): ("Z4", DuValType("A", 3)),
-    (6, ((1, 1), (2, 1), (3, 2), (6, 2))): ("Z6", DuValType("A", 5)),
-    (8, ((1, 1), (2, 1), (4, 6))): ("BD8", DuValType("D", 4)),
-    (12, ((1, 1), (2, 1), (3, 2), (4, 6), (6, 2))): ("BD12", DuValType("D", 5)),
-    (24, ((1, 1), (2, 1), (3, 8), (4, 6), (6, 8))): ("BT24", DuValType("E", 6)),
+_STABILIZER_CLASSES: Mapping[tuple[int, ...], tuple[str, DuValType]] = {
+    (1, 2): ("Z2", DuValType("A", 1)),
+    (1, 3, 3): ("Z3", DuValType("A", 2)),
+    (1, 2, 4, 4): ("Z4", DuValType("A", 3)),
+    (1, 2, 3, 3, 6, 6): ("Z6", DuValType("A", 5)),
+    (1, 2, *[4] * 6): ("BD8", DuValType("D", 4)),
+    (1, 2, 3, 3, *[4] * 6, 6, 6): ("BD12", DuValType("D", 5)),
+    (1, 2, *[3] * 8, *[4] * 6, *[6] * 8): ("BT24", DuValType("E", 6)),
 }
 
 
@@ -419,10 +419,7 @@ def quotient_singularities(action: TorusAction) -> QuotientReport:
         stabilizer = [n for image, n in zip(images, action.orders) if image == point]
         if len(orbit) * len(stabilizer) != action.order:
             raise ActionValidationError("orbit-stabilizer mismatch")
-        histogram: dict[int, int] = {}
-        for n in stabilizer:
-            histogram[n] = histogram.get(n, 0) + 1
-        key = (len(stabilizer), tuple(sorted(histogram.items())))
+        key = tuple(sorted(stabilizer))
         if key not in _STABILIZER_CLASSES:
             raise ActionValidationError(f"unrecognized stabilizer {key}")
         name, du_val = _STABILIZER_CLASSES[key]

@@ -41,6 +41,11 @@ def locus(ws):
     return report
 
 
+def targets(ws):
+    """The targets d - w_j, which the caller of ``_pair_pass`` builds."""
+    return [ws.degree - x for x in ws.weights]
+
+
 def condition_1(ws):
     """Condition (1) of the quasismoothness criterion, tested apart from
     ``hypersurface``: every weight divides some d - w_j."""
@@ -55,17 +60,25 @@ class TestQuasismooth:
 
     @pytest.mark.parametrize("predicate", [is_quasismooth_and_wellformed, examine])
     def test_condition_1_tested_once(self, monkeypatch, predicate):
-        original = hypersurface._condition_1
-        calls = []
+        # ... on the targets d - w_j, which the pair pass then reads as they are
+        original, original_pass = hypersurface._condition_1, hypersurface._pair_pass
+        calls, passed = [], []
 
         def counted(weights, targets):
-            calls.append(weights)
+            calls.append((weights, targets))
             return original(weights, targets)
 
+        def pair_pass(ws, targets, quasismooth):
+            passed.append(targets)
+            return original_pass(ws, targets, quasismooth)
+
         monkeypatch.setattr(hypersurface, "_condition_1", counted)
+        monkeypatch.setattr(hypersurface, "_pair_pass", pair_pass)
         for _ in range(3):
             predicate(X120)
-        assert calls == [X120.weights] * 3
+        assert [weights for weights, _ in calls] == [X120.weights] * 3
+        assert all(t is built for (_, t), built in zip(calls, passed, strict=True))
+        assert passed[0] == targets(X120)
 
     def test_failing_first_condition(self):
         # no weight w_j with 7 | 9 - w_j
@@ -81,10 +94,11 @@ class TestQuasismooth:
 class TestWeightCount:
     def test_three_weight_criteria(self):
         cubic_curve = WeightSystem(6, (1, 2, 3))
-        assert _pair_pass(cubic_curve, condition_1(cubic_curve))[:2] == (True, True)
+        verdicts = _pair_pass(cubic_curve, targets(cubic_curve), condition_1(cubic_curve))
+        assert verdicts[:2] == (True, True)
         # 4 divides none of 7 - 1, 7 - 2, 7 - 4; and gcd(2, 4) = 2
         bad = WeightSystem(7, (1, 2, 4))
-        assert _pair_pass(bad, condition_1(bad))[:2] == (False, False)
+        assert _pair_pass(bad, targets(bad), condition_1(bad))[:2] == (False, False)
 
     @pytest.mark.parametrize("entry", [examine, c2_lower_bound])
     def test_p4_entry_points_reject_four_weights(self, entry):
@@ -296,7 +310,7 @@ class TestAgainstAllSubsetsReference:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(min_value=3, max_value=6).flatmap(weight_systems))
     def test_any_number_of_weights(self, ws):
-        assert _pair_pass(ws, condition_1(ws))[:2] == (
+        assert _pair_pass(ws, targets(ws), condition_1(ws))[:2] == (
             reference_is_wellformed(ws), reference_is_quasismooth(ws)
         )
         assert is_quasismooth_and_wellformed(ws) == (
@@ -310,7 +324,7 @@ class TestAgainstAllSubsetsReference:
         # the d - w_j are tested until condition (1) or (2) has failed
         d, w = ws.degree, ws.weights
         counting = condition_1(ws)
-        _, _, pairs = _pair_pass(ws, counting)
+        _, _, pairs = _pair_pass(ws, targets(ws), counting)
         indices = list(combinations(range(len(w)), 2))
         assert len(pairs) == len(indices)
         for (i, j), (g, on_d, hits, m) in zip(indices, pairs):
@@ -356,7 +370,7 @@ class TestConductor:
     @given(conductor_systems())
     def test_pair_pass_against_brute_force(self, ws):
         d, w = ws.degree, ws.weights
-        _, _, pairs = _pair_pass(ws, True)
+        _, _, pairs = _pair_pass(ws, targets(ws), True)
         for (i, j), (g, on_d, hits, _) in zip(combinations(range(len(w)), 2), pairs):
             reach = reference_sums((w[i], w[j]), d)
             assert g == gcd(w[i], w[j])
@@ -368,7 +382,7 @@ class TestConductor:
         # 4 and 7 have c = 3 * 6 = 18, and d = 17 = c - 1 is their
         # Frobenius number: the edge on which they are free lies in X
         ws = WeightSystem(17, (1, 2, 3, 4, 7))
-        assert not _pair_pass(ws, True)[2][9][1]
+        assert not _pair_pass(ws, targets(ws), True)[2][9][1]
         _, quasismooth, report = examine(ws)
         assert quasismooth
         assert ContainedEdge((0, 1, 2), (4, 7), False) in report.contained_edges
@@ -377,7 +391,7 @@ class TestConductor:
     def test_degree_at_the_conductor(self):
         # d = 18 = c for 4 and 7, so 18 = 4 + 2 * 7 and that edge is not in X
         ws = WeightSystem(18, (2, 2, 3, 4, 7))
-        assert _pair_pass(ws, True)[2][9][1]
+        assert _pair_pass(ws, targets(ws), True)[2][9][1]
         _, quasismooth, report = examine(ws)
         assert quasismooth
         assert all(e.free_weights != (4, 7) for e in report.contained_edges)

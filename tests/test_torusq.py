@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from time import perf_counter
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cytk import torusq
 from cytk.cli import _quotient_json, _quotient_text
 from cytk.surface import DuValMultiset, orbifold_c2
 from cytk.torusq import (
@@ -30,12 +32,13 @@ from cytk.torusq import (
     _linear,
     _mat_mul,
     _order,
-    _power_sums,
+    _traces,
     _translation_entry,
     BUILTIN_EXPECTED,
     CAP,
     ActionValidationError,
     AffineTorusMap,
+    TorusAction,
     action_from_json,
     builtin_action,
     builtin_actions,
@@ -286,11 +289,20 @@ class TestCloseGroup:
             with pytest.raises(ActionValidationError, match="realification"):
                 close_group([AffineTorusMap(tuple(tuple(r) for r in m), ZERO4)])
 
-    def test_power_sums_follow_from_realifications(self):
-        # (x-1)^4, (x+1)^4, (x^2+x+1)^2, (x^2+1)^2, (x^2-x+1)^2, highest
-        # degree first; Newton's identities give p_k = tr M^k from the
-        # elementary symmetric functions e_k = (-1)^k c_k.
-        factors = {1: (1, -1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1)}
+    def test_two_traces_single_out_the_canonical_polynomials(self):
+        # A linear part of finite order has as characteristic polynomial a
+        # product of cyclotomic polynomials Phi_n of total degree 4, so
+        # phi(n) <= 4: n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.  Of the 24 such
+        # products, each pair in the table is reached by the realification
+        # of its order alone.  Coefficients highest degree first; Newton's
+        # identities give p1 = e1 and p2 = e1 p1 - 2 e2 from the elementary
+        # symmetric functions e_k = (-1)^k c_k.
+        cyclotomic = {
+            1: (1, -1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1),
+            5: (1, 1, 1, 1, 1), 8: (1, 0, 0, 0, 1), 10: (1, -1, 1, -1, 1),
+            12: (1, 0, -1, 0, 1),
+        }
+        canonical = {1: (1,) * 4, 2: (2,) * 4, 3: (3, 3), 4: (4, 4), 6: (6, 6)}
 
         def poly_mul(a, b):
             out = [0] * (len(a) + len(b) - 1)
@@ -299,23 +311,24 @@ class TestCloseGroup:
                     out[i + j] += x * y
             return out
 
-        def power_sums(coeffs):
-            e = [(-1) ** k * c for k, c in enumerate(coeffs)]
-            p = [None]
-            for k in range(1, 5):
-                p.append(
-                    sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, k))
-                    + (-1) ** (k - 1) * k * e[k]
-                )
-            return tuple(p[1:])
-
-        derived = {}
-        for n, factor in factors.items():
-            poly = [1]
-            while len(poly) < 5:
-                poly = poly_mul(poly, factor)
-            derived[n] = power_sums(poly)
-        assert derived == _CANONICAL_POWER_SUMS
+        reached = {}
+        for size in range(1, 5):
+            for factors in combinations_with_replacement(sorted(cyclotomic), size):
+                poly = [1]
+                for n in factors:
+                    poly = poly_mul(poly, cyclotomic[n])
+                if len(poly) != 5:
+                    continue
+                _, c1, c2, c3, c4 = poly
+                e1, e2 = -c1, c2
+                pair = (e1, e1 * e1 - 2 * e2)
+                # the traces of its companion matrix, as close_group takes them
+                assert _traces(sum(map(tuple, companion(c4, c3, c2, c1)), ())) == pair
+                reached.setdefault(pair, []).append(factors)
+        assert sum(map(len, reached.values())) == 24
+        assert {n: reached[pair] for n, pair in _CANONICAL_POWER_SUMS.items()} == {
+            n: [factors] for n, factors in canonical.items()
+        }
 
     def test_bd8_presentation(self):
         a = _linear(_L8_A)
@@ -393,6 +406,19 @@ class TestBuiltinActions:
             "bt24-shifted": 24,
             "bt24-linear": 24,
         }
+
+    def test_stabilizer_keyed_by_its_sorted_orders(self):
+        # Each stabilizer is named from the sorted orders of its elements,
+        # and an unknown key is refused: here the identity of the Kummer
+        # action is given order 2, so that every point has stabilizer (2, 2).
+        kummer = builtin_action("kummer")
+        classes = [o.stabilizer_class for o in quotient_singularities(kummer).orbits]
+        assert classes == ["Z2"] * 16
+        forged = TorusAction(
+            "forged", kummer.generators, kummer.elements, kummer.denominator, (2, 2)
+        )
+        with pytest.raises(ActionValidationError, match=r"^unrecognized stabilizer \(2, 2\)$"):
+            quotient_singularities(forged)
 
     def test_bd12_sixteen_point_decomposition(self):
         # the involution's 16 fixed points split as 1 + 3a + 6c with a = 3
@@ -601,6 +627,21 @@ def builtin_and_conjugates(name, count=2):
         yield tuple(conjugate(g, change) for g in generators)
 
 
+# The products close_group takes for each builtin's generators.
+CLOSURE_PRODUCTS = {
+    "kummer": 1,
+    "z3-diagonal": 2,
+    "z4-square": 3,
+    "z6-diagonal": 5,
+    "bd8-shifted": 8,
+    "bd8-gaussian": 8,
+    "bd8-linear": 8,
+    "bd12-linear": 13,
+    "bt24-shifted": 28,
+    "bt24-linear": 28,
+}
+
+
 class TestClosureAndConjugation:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_closure_matches_reference(self, name):
@@ -640,6 +681,63 @@ class TestClosureAndConjugation:
             with pytest.raises(ActionValidationError, match="cap"):
                 close_group([generator])
             assert perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_closure_costs_under_two_products_an_element(self, monkeypatch, name):
+        # One product per element of each new coset and one per coset
+        # representative and enlarging generator; a change of coordinates
+        # changes neither.
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return _mat_mul(a, b)
+
+        monkeypatch.setattr(torusq, "_mat_mul", counted)
+        counts = []
+        for generators in builtin_and_conjugates(name):
+            calls.clear()
+            order = close_group(generators, label=name).order
+            counts.append(len(calls))
+        assert counts == [CLOSURE_PRODUCTS[name]] * 3
+        assert counts[0] < 2 * order
+
+    def test_infinite_group_rejected_in_the_coset_stage(self):
+        # The order-4 swap and a conjugate of an order-3 generator: both of
+        # finite order, the group they generate infinite.  The first gives a
+        # subgroup of 4, and the cap is reached while cosets of it are added.
+        swap = _linear(_SWAP)
+        rotation = _linear(_block_diag(_MUL_J, _MUL_J2))
+        rng = random.Random(20261021)
+        generators = [swap, conjugate(rotation, random_change(rng))]
+        with pytest.raises(ActionValidationError, match="^not finite within cap 48$"):
+            reference_closure(generators)
+        start = perf_counter()
+        with pytest.raises(ActionValidationError, match="^not finite within cap 48$"):
+            close_group(generators)
+        assert perf_counter() - start < 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(BUILTIN_NAMES),
+        st.booleans(),
+        st.lists(st.integers(0, 23), max_size=4),
+        st.lists(st.integers(0, 5), max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_closure_matches_reference_on_any_generator_list(
+        self, name, conjugated, contained, repeated, rng
+    ):
+        # The generators permuted, some repeated, and elements of the group,
+        # the identity one of them, added: the group is the same.
+        generators = list(builtin_and_conjugates(name, 1))[conjugated]
+        group = pairs(close_group(generators))
+        extra = [AffineTorusMap(*group[i % len(group)]) for i in contained]
+        extra += [generators[i % len(generators)] for i in repeated]
+        listed = [*generators, *extra]
+        rng.shuffle(listed)
+        action = close_group(listed)
+        assert pairs(action) == reference_closure(listed) == group
 
     def test_wide_change_of_coordinates_stays_fast(self):
         # Cost follows the size of the input in bits: conjugating by a P
@@ -784,11 +882,8 @@ class TestClosedForms:
             for (linear, shift), n in zip(action.elements, action.orders):
                 assert n == _order(linear, shift, den)
                 m = rows(linear)
-                square = _mul4(m, m)
-                traces = [sum(p[i][i] for i in range(4)) for p in (
-                    m, square, _mul4(square, m), _mul4(square, square)
-                )]
-                assert _power_sums(linear) == tuple(traces) == _CANONICAL_POWER_SUMS[n]
+                traces = tuple(sum(p[i][i] for i in range(4)) for p in (m, _mul4(m, m)))
+                assert _traces(linear) == traces == _CANONICAL_POWER_SUMS[n]
 
     def test_flat_products_match_nested_loops(self):
         # The written-out 16-term expressions on flat matrices against
@@ -817,11 +912,8 @@ class TestClosedForms:
                         image[i] += ra[i][k] * vector[k]
                 assert _image(a, shift, vector, den) == tuple(x % den for x in image)
 
-                traces, power = [], ra
-                for _ in range(4):
-                    traces.append(sum(power[i][i] for i in range(4)))
-                    power = _mul4(power, ra)
-                assert _power_sums(a) == tuple(traces)
+                traces = tuple(sum(p[i][i] for i in range(4)) for p in (ra, _mul4(ra, ra)))
+                assert _traces(a) == traces
 
     def test_determinant_matches_bareiss(self):
         rng = random.Random(44)

@@ -148,7 +148,7 @@ class TestWellformed:
         ) and all(ws.degree % gcd(*sub) == 0 for sub in combinations(weights, n - 2))
         # wellformedness does not depend on quasismoothness, so the pass
         # may skip conditions (2) and (3)
-        assert _pair_pass(ws, False)[0] == expected
+        assert _pair_pass(ws, [ws.degree - x for x in weights], False)[0] == expected
 
 
 def two_face_types(ws):
